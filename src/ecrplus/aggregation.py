@@ -38,7 +38,9 @@ __all__ = [
     "loss_from_annuity",
     "quantile",
     "tv_distance",
+    "aggregate_sectors",
     "aggregate_loss",
+    "mixture",
     "model_moments",
 ]
 
@@ -46,6 +48,11 @@ __all__ = [
 # the running maximum crosses it, far inside the double range.
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
+
+# Default lattice bound: the enumerated range reaches the aggregate's mean
+# plus this many standard deviations; the mass beyond is reported as
+# truncation_mass, never dropped silently.
+N_SD = 12.0
 
 
 @dataclass(frozen=True)
@@ -356,8 +363,8 @@ def panjer_compound(sector: SectorCompound, n_max: int) -> LossDistribution:
         s[J + n] = val
         entry_log[n] = cur_log
 
-    with np.errstate(divide="ignore"):
-        log_g = np.where(s[J:] > 0.0, np.log(s[J:], where=s[J:] > 0.0), -np.inf)
+    log_g = np.full(n_max + 1, -np.inf)
+    np.log(s[J:], out=log_g, where=s[J:] > 0.0)
     pmf = np.exp(log_g + entry_log)
     mass = pmf.sum()
     if not np.isfinite(mass) or mass > 1.0 + 1e-9:
@@ -503,23 +510,58 @@ def model_moments(
     return mean, var
 
 
+def aggregate_sectors(sectors: list[SectorCompound], n_max: int | None = None) -> LossDistribution:
+    """Exact distribution of the sum of independent compound sectors.
+
+    Each sector runs through :func:`panjer_compound` and the results are
+    convolved.  The default lattice bound is the sum's mean plus ``N_SD``
+    standard deviations, rounded up.
+    """
+    if n_max is None:
+        mean = sum(s.mean() for s in sectors)
+        var = sum(s.var() for s in sectors)
+        n_max = int(math.ceil(mean + N_SD * math.sqrt(max(var, 0.0))))
+    parts = [panjer_compound(s, n_max) for s in sectors]
+    return convolve_sectors(parts, n_max=n_max)
+
+
 def aggregate_loss(
     portfolio: Portfolio,
     rf: list[RiskFactorSpec],
     unit: float = 1.0,
     n_max: int | None = None,
-    n_sd: float = 12.0,
 ) -> LossDistribution:
-    """Exact distribution of S for a portfolio.
+    """Exact distribution of S for a portfolio (see :func:`aggregate_sectors`)."""
+    return aggregate_sectors(build_sectors(portfolio, rf, unit), n_max)
 
-    The default lattice bound is mean + ``n_sd`` standard deviations,
-    rounded up; whatever mass lies beyond is reported as truncation_mass,
-    never dropped silently.
+
+def mixture(dists: list[LossDistribution]) -> LossDistribution:
+    """Equal-weight mixture of lattice laws with real-valued offsets.
+
+    Components share the unit; each component's offset residual relative to
+    the base lattice is stochastically rounded (mean preserved) onto the
+    grid before averaging.
     """
-    sectors = build_sectors(portfolio, rf, unit)
-    if n_max is None:
-        mean = sum(s.mean() for s in sectors)
-        sd = math.sqrt(sum(s.var() for s in sectors))
-        n_max = int(math.ceil(mean + n_sd * sd))
-    parts = [panjer_compound(s, n_max) for s in sectors]
-    return convolve_sectors(parts, unit=unit, n_max=n_max)
+    unit = dists[0].unit
+    base = min(d.offset for d in dists)
+    shifts = []
+    top = 0
+    for d in dists:
+        x = (d.offset - base) / unit
+        n = int(np.floor(x + 1e-12))
+        f = x - n
+        if f < 1e-12:
+            f = 0.0
+        shifts.append((n, f))
+        top = max(top, n + d.pmf.size + 1)
+    pmf = np.zeros(top)
+    tail = 0.0
+    for d, (n, f) in zip(dists, shifts):
+        pmf[n : n + d.pmf.size] += (1.0 - f) * d.pmf
+        if f:
+            pmf[n + 1 : n + 1 + d.pmf.size] += f * d.pmf
+        tail += d.truncation_mass
+    m = len(dists)
+    return LossDistribution(
+        unit=unit, pmf=pmf / m, truncation_mass=tail / m, offset=base
+    )

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, special
@@ -33,6 +33,9 @@ from .domain import CohortPanel
 from .errors import DataError, DegenerateEstimateError, NumericalError
 from .trends import (
     TrendParams,
+    _kappa_grid,
+    _q_grid_arrays,
+    _w_grid_arrays,
     cause_weights_grid,
     death_prob_grid,
     laplace_cdf_inv,
@@ -56,6 +59,8 @@ __all__ = [
     "mom_fit",
     "mcmc_sample",
     "load_chain",
+    "posterior_draws",
+    "posterior_mean",
     "metropolis_accept",
     "information_criteria",
     "cv_prior_scale",
@@ -120,21 +125,9 @@ class ParamVector:
 
     def with_state(self, state: dict[str, np.ndarray]) -> "ParamVector":
         kappa = dict(zip(self.kappa_years(), np.asarray(state["kappa"], dtype=float)))
-        trends = TrendParams(
-            alpha=state["alpha"],
-            beta=state["beta"],
-            zeta=state["zeta"],
-            eta=state["eta"],
-            u=state["u"],
-            v=state["v"],
-            phi=state["phi"],
-            psi=state["psi"],
-            t0=self.trends.t0,
-            kappa=kappa,
-            age_lower_bounds=self.trends.age_lower_bounds,
-            age_midpoints=self.trends.age_midpoints,
-        )
-        return ParamVector(trends=trends, sigma2=state["sigma2"], fixed=self.fixed)
+        blocks = {f: state[f] for f in ("alpha", "beta", "zeta", "eta", "u", "v", "phi", "psi")}
+        trends = replace(self.trends, kappa=kappa, **blocks)
+        return replace(self, trends=trends, sigma2=state["sigma2"])
 
 
 def _rho_grid(panel: CohortPanel, params: ParamVector):
@@ -145,12 +138,15 @@ def _rho_grid(panel: CohortPanel, params: ParamVector):
     return rho, q
 
 
-def _check_finite(params: ParamVector):
-    for name, arr in params.to_state().items():
+def _finite_state(params: ParamVector) -> dict[str, np.ndarray]:
+    """``params.to_state()``, raising on non-finite or non-positive values."""
+    state = params.to_state()
+    for name, arr in state.items():
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite values in parameter block {name}")
     if np.any(params.sigma2 <= 0.0):
         raise ValueError("sigma2 must be strictly positive")
+    return state
 
 
 def _log_likelihood_rho(deaths: np.ndarray, rho: np.ndarray, sigma2_t: np.ndarray) -> float:
@@ -181,18 +177,72 @@ def _log_likelihood_rho(deaths: np.ndarray, rho: np.ndarray, sigma2_t: np.ndarra
     return total + float(mixed.sum()) + float(cell.sum())
 
 
+def _loglik_kernel(panel: CohortPanel, template: ParamVector, likelihood: str):
+    """Log-likelihood of the panel as a function of a raw state dict.
+
+    The single implementation behind the public likelihoods and the
+    sampler, which calls it on state dicts directly to skip rebuilding
+    parameter objects in its inner loop.  ``state["sigma2"]`` holds one
+    variance per factor, or one row of them per panel year.  The cohort
+    grid is built once when ``template`` fixes kappa or declares no cohort
+    years.
+    """
+    years = panel.years.astype(float)
+    deaths = panel.deaths
+    exposure = panel.exposure
+    trends = template.trends
+    t0 = trends.t0
+    zs = template.kappa_years()
+
+    def kappa_grid(kappa: dict):
+        return _kappa_grid(years, kappa, trends.age_midpoints, trends.n_age_groups)
+
+    kappa_static = "kappa" in template.fixed or not zs
+    static_kap = kappa_grid(trends.kappa) if kappa_static else None
+
+    def q_grid(state):
+        kap = static_kap if kappa_static else kappa_grid(dict(zip(zs, state["kappa"])))
+        return _q_grid_arrays(
+            years, state["alpha"], state["beta"], state["zeta"], state["eta"], t0, kap
+        )
+
+    if likelihood == "bernoulli":
+        if panel.n_causes != 1:
+            raise DataError("Bernoulli likelihood requires a K=0 panel; merge causes first")
+        n = deaths[:, :, :, 0]
+        m = exposure
+        if np.any(n > m):
+            raise DataError("deaths exceed exposure; Bernoulli model impossible")
+        log_binom = float(
+            (special.gammaln(m + 1.0) - special.gammaln(n + 1.0) - special.gammaln(m - n + 1.0)).sum()
+        )
+
+        def loglik(state):
+            q = q_grid(state)
+            return log_binom + float((n * np.log(q) + (m - n) * np.log1p(-q)).sum())
+
+        return loglik
+
+    def loglik(state):
+        q = q_grid(state)
+        w = _w_grid_arrays(years, state["u"], state["v"], state["phi"], state["psi"], t0)
+        rho = exposure[:, :, :, None] * q[:, :, :, None] * w
+        s2 = state["sigma2"]
+        return _log_likelihood_rho(deaths, rho, np.broadcast_to(s2, (years.size, s2.shape[-1])))
+
+    return loglik
+
+
 def log_likelihood(panel: CohortPanel, params: ParamVector) -> float:
     """Log of the gamma-mixed Poisson likelihood of the panel.
 
     Returns -inf when some cell has positive deaths but zero intensity;
     raises on non-finite or non-positive parameters.
     """
-    _check_finite(params)
+    state = _finite_state(params)
     if panel.n_years == 0:
         raise DataError("empty panel")
-    rho, _ = _rho_grid(panel, params)
-    sigma2_t = np.broadcast_to(params.sigma2, (panel.n_years, params.sigma2.size))
-    return _log_likelihood_rho(panel.deaths, rho, sigma2_t)
+    return _loglik_kernel(panel, params, "poisson")(state)
 
 
 def log_likelihood_inflated(
@@ -200,29 +250,15 @@ def log_likelihood_inflated(
 ) -> float:
     """Log-likelihood with per-year factor variances (used to fit the
     forecast variance inflation)."""
-    _check_finite(params)
-    rho, _ = _rho_grid(panel, params)
-    return _log_likelihood_rho(panel.deaths, rho, np.asarray(sigma2_t, dtype=float))
+    state = _finite_state(params)
+    state["sigma2"] = np.asarray(sigma2_t, dtype=float)
+    return _loglik_kernel(panel, params, "poisson")(state)
 
 
 def log_likelihood_bernoulli(panel: CohortPanel, params: ParamVector) -> float:
     """Binomial log-likelihood for the purely idiosyncratic model (K = 0)."""
-    if panel.n_causes != 1:
-        raise DataError("Bernoulli likelihood requires a K=0 panel; merge causes first")
-    n = panel.deaths[:, :, :, 0]
-    m = panel.exposure
-    if np.any(n > m):
-        raise DataError("deaths exceed exposure; Bernoulli model impossible")
-    _check_finite(params)
-    q = death_prob_grid(panel.years, params.trends)
-    ll = (
-        special.gammaln(m + 1.0)
-        - special.gammaln(n + 1.0)
-        - special.gammaln(m - n + 1.0)
-        + n * np.log(q)
-        + (m - n) * np.log1p(-q)
-    )
-    return float(ll.sum())
+    loglik = _loglik_kernel(panel, params, "bernoulli")
+    return loglik(_finite_state(params))
 
 
 @dataclass(frozen=True)
@@ -477,7 +513,7 @@ def mom_fit(panel: CohortPanel, template: TrendParams) -> ParamVector:
             y = laplace_cdf_inv(rates[:, a, gi]) - kap
             alpha[a, gi], beta[a, gi] = _ols_line(x, y)
 
-    fitted_trends = replace_trends(template, alpha=alpha, beta=beta)
+    fitted_trends = replace(template, alpha=alpha, beta=beta)
     q_hat = death_prob_grid(years, fitted_trends)
 
     u = np.zeros((A, 2, K1))
@@ -490,7 +526,7 @@ def mom_fit(panel: CohortPanel, template: TrendParams) -> ParamVector:
                 y = np.log(counts[:, a, gi, k] / (m[:, a, gi] * q_hat[:, a, gi]))
                 u[a, gi, k], v[a, gi, k] = _ols_line(xk, y)
 
-    fitted_trends = replace_trends(fitted_trends, u=u, v=v)
+    fitted_trends = replace(fitted_trends, u=u, v=v)
     out = ParamVector(trends=fitted_trends, sigma2=np.full(K1 - 1, 1e-12), fixed=_DEFAULT_FIXED)
 
     w_T = cause_weights_grid(years[-1:], fitted_trends)[0]
@@ -508,26 +544,6 @@ def mom_fit(panel: CohortPanel, template: TrendParams) -> ParamVector:
     # Strictly positive variances are required downstream; keep a floor.
     sigma2 = np.maximum(sigma2, 1e-12)
     return ParamVector(trends=fitted_trends, sigma2=sigma2, fixed=_DEFAULT_FIXED)
-
-
-def replace_trends(t: TrendParams, **kw) -> TrendParams:
-    """A copy of ``t`` with some arrays replaced."""
-    fields = dict(
-        alpha=t.alpha,
-        beta=t.beta,
-        zeta=t.zeta,
-        eta=t.eta,
-        u=t.u,
-        v=t.v,
-        phi=t.phi,
-        psi=t.psi,
-        t0=t.t0,
-        kappa=dict(t.kappa),
-        age_lower_bounds=t.age_lower_bounds,
-        age_midpoints=t.age_midpoints,
-    )
-    fields.update(kw)
-    return TrendParams(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +603,37 @@ class McmcChain:
             col = self.samples[:, j]
             out[name] = (float(np.quantile(col, lo)), float(np.quantile(col, hi)))
         return out
+
+
+def posterior_draws(
+    chain: McmcChain | list[ParamVector] | ParamVector, max_samples: int
+) -> list[ParamVector]:
+    """At most ``max_samples`` draws spread evenly over a posterior sample,
+    first and last included; all of them when there are no more.
+
+    A single parameter vector is a sample of one.
+    """
+    if isinstance(chain, ParamVector):
+        return [chain]
+    n = len(chain)
+    if n == 0:
+        raise DataError("empty chain")
+    idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
+    if isinstance(chain, McmcChain):
+        return [chain.param_vector(i) for i in idx]
+    return [chain[i] for i in idx]
+
+
+def posterior_mean(chain: McmcChain | list[ParamVector] | ParamVector) -> ParamVector:
+    """Mean of the free parameters over every draw of a posterior sample."""
+    if isinstance(chain, ParamVector):
+        return chain
+    if len(chain) == 0:
+        raise DataError("empty chain")
+    if isinstance(chain, McmcChain):
+        return chain.mean_param_vector()
+    flats = np.stack([_flatten(pv) for pv in chain])
+    return _unflatten(chain[0], _flat_names(chain[0]), flats.mean(axis=0))
 
 
 def _blocks_for(params: ParamVector) -> list[tuple[str, int | None]]:
@@ -690,73 +737,13 @@ class _StepStreams:
 
 
 _CHAIN_HEADER = "#ecrplus-chain v1"
-
-
-def _kappa_grid_from_state(template: ParamVector, state: dict, years: np.ndarray):
-    """Cohort-shift grid (T, A) from the flattened kappa block; None when
-    no cohort effects are declared."""
-    zs = template.kappa_years()
-    if not zs:
-        return None
-    kap_map = dict(zip(zs, np.asarray(state["kappa"], dtype=float)))
-    mids = template.trends.age_midpoints
-    A = template.trends.n_age_groups
-    grid = np.zeros((years.size, A))
-    for ti, t in enumerate(years):
-        for a in range(A):
-            mid = 0.0 if mids is None else float(mids[a])
-            grid[ti, a] = kap_map.get(int(round(t - mid)), 0.0)
-    return grid
+# Header fields of a record file; a resumed run must match all of them.
+_CHAIN_META = ("seed", "chain", "n_steps", "burn_in", "likelihood", "blocks")
 
 
 def _state_logpost(panel: CohortPanel, template: ParamVector, prior: PriorSpec, likelihood: str):
-    """Log-posterior as a function of the raw state dict.
-
-    Bypasses parameter-object reconstruction in the sampler's inner loop;
-    the grid evaluation is shared with the public likelihood, so the two
-    paths agree exactly.
-    """
-    from .trends import _q_grid_arrays, _w_grid_arrays
-
-    years = panel.years.astype(float)
-    deaths = panel.deaths
-    exposure = panel.exposure
-    t0 = template.trends.t0
-    kappa_static = "kappa" in template.fixed or not template.kappa_years()
-    static_kap = (
-        _kappa_grid_from_state(template, template.to_state(), years) if kappa_static else None
-    )
-
-    if likelihood == "bernoulli":
-        if panel.n_causes != 1:
-            raise DataError("Bernoulli likelihood requires a K=0 panel")
-        n = deaths[:, :, :, 0]
-        m = exposure
-        if np.any(n > m):
-            raise DataError("deaths exceed exposure; Bernoulli model impossible")
-        log_binom = float(
-            (special.gammaln(m + 1.0) - special.gammaln(n + 1.0) - special.gammaln(m - n + 1.0)).sum()
-        )
-
-        def loglik(state):
-            kap = static_kap if kappa_static else _kappa_grid_from_state(template, state, years)
-            q = _q_grid_arrays(
-                years, state["alpha"], state["beta"], state["zeta"], state["eta"], t0, kap
-            )
-            return log_binom + float((n * np.log(q) + (m - n) * np.log1p(-q)).sum())
-
-    else:
-
-        def loglik(state):
-            kap = static_kap if kappa_static else _kappa_grid_from_state(template, state, years)
-            q = _q_grid_arrays(
-                years, state["alpha"], state["beta"], state["zeta"], state["eta"], t0, kap
-            )
-            w = _w_grid_arrays(years, state["u"], state["v"], state["phi"], state["psi"], t0)
-            rho = exposure[:, :, :, None] * q[:, :, :, None] * w
-            s2 = state["sigma2"]
-            sigma2_t = np.broadcast_to(s2, (years.size, s2.size))
-            return _log_likelihood_rho(deaths, rho, sigma2_t)
+    """Log-posterior as a function of the raw state dict."""
+    loglik = _loglik_kernel(panel, template, likelihood)
 
     def logpost(state):
         ll = loglik(state)
@@ -805,7 +792,8 @@ def mcmc_sample(
     positivity-constrained coordinates reject out-of-domain proposals.
     Per-step randomness comes from a stream keyed by (seed, chain, step),
     so a run interrupted and resumed from its record file reproduces the
-    uninterrupted run exactly.  The returned chain holds the post-burn-in
+    uninterrupted run exactly; a record file written with other settings
+    is refused with :class:`DataError`.  The returned chain holds the post-burn-in
     steps executed by this call; :func:`load_chain` reads the complete
     record file after a resumed run.
     """
@@ -823,22 +811,22 @@ def mcmc_sample(
     start_step = 0
     writer = None
     if cfg.record_path:
+        meta = {
+            "seed": cfg.seed,
+            "chain": cfg.chain_id,
+            "n_steps": cfg.n_steps,
+            "burn_in": cfg.burn_in,
+            "likelihood": cfg.likelihood,
+            "blocks": [f"{f}:{'' if g is None else 'fm'[g]}" for f, g in blocks],
+        }
         resumed = None
         if resume and os.path.exists(cfg.record_path):
-            resumed = _read_last_record(cfg.record_path, init, blocks)
+            resumed = _resume_point(cfg.record_path, meta, init, blocks)
         if resumed is not None:
             state, scales, start_step = resumed
             writer = open(cfg.record_path, "a")
         else:
             writer = open(cfg.record_path, "w")
-            meta = {
-                "seed": cfg.seed,
-                "chain": cfg.chain_id,
-                "n_steps": cfg.n_steps,
-                "burn_in": cfg.burn_in,
-                "likelihood": cfg.likelihood,
-                "blocks": [f"{f}:{'' if g is None else 'fm'[g]}" for f, g in blocks],
-            }
             writer.write(f"{_CHAIN_HEADER} {json.dumps(meta)}\n")
             writer.write("step,log_posterior," + ",".join(
                 [f"scale.{f}{'' if g is None else '.' + 'fm'[g]}" for f, g in blocks]
@@ -919,45 +907,72 @@ def mcmc_sample(
     return chain
 
 
-def _read_last_record(path: str, init: ParamVector, blocks) -> tuple[dict, dict, int] | None:
-    """State, scales and next step from the last record, or None if the
-    file holds no records yet (restart from scratch)."""
+def _read_records(path: str) -> tuple[dict, list[str], np.ndarray]:
+    """Header metadata, column names and (records, columns) values of a
+    chain record file.
+
+    Every record is written as one newline-terminated line, so a last line
+    without its newline is a write that was cut short.
+    """
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith(_CHAIN_HEADER):
             raise DataError(f"{path} is not a chain record file")
-        fh.readline()  # column names
-        last = None
+        try:
+            meta = json.loads(header[len(_CHAIN_HEADER) :])
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict) or any(k not in meta for k in _CHAIN_META):
+            raise DataError(f"{path}: damaged chain header")
+        columns = fh.readline().strip().split(",")
+        rows = []
         for line in fh:
-            if line.strip():
-                last = line
-    if last is None:
+            if not line.strip():
+                continue
+            if not line.endswith("\n"):
+                raise DataError(f"{path}: the last record is torn (no line end)")
+            fields = line.split(",")
+            if len(fields) != len(columns):
+                raise DataError(
+                    f"{path}: record {len(rows) + 1} has {len(fields)} fields, "
+                    f"expected {len(columns)}"
+                )
+            try:
+                rows.append([float(x) for x in fields])
+            except ValueError as exc:
+                raise DataError(f"{path}: record {len(rows) + 1} is unparsable ({exc})") from None
+    return meta, columns, np.array(rows).reshape(len(rows), len(columns))
+
+
+def _resume_point(path: str, meta: dict, init: ParamVector, blocks) -> tuple[dict, dict, int] | None:
+    """State, scales and next step from the last record, or None if the
+    file holds no records yet (restart from scratch).  The file's header
+    must match ``meta``, the metadata of the run being resumed."""
+    found, _, data = _read_records(path)
+    differ = [k for k in _CHAIN_META if found[k] != meta[k]]
+    if differ:
+        raise DataError(
+            f"{path} was written by another run ({', '.join(differ)} differ); "
+            "resume with the same settings or start a fresh run"
+        )
+    if not len(data):
         return None
-    parts = last.strip().split(",")
-    step = int(parts[0])
+    row = data[-1]
     n_blocks = len(blocks)
-    scales = {b: float(parts[2 + i]) for i, b in enumerate(blocks)}
-    flat = np.array([float(x) for x in parts[2 + n_blocks :]])
-    state = _unflatten(init, _flat_names(init), flat).to_state()
-    return state, scales, step + 1
+    scales = {b: float(row[2 + i]) for i, b in enumerate(blocks)}
+    state = _unflatten(init, _flat_names(init), row[2 + n_blocks :]).to_state()
+    return state, scales, int(row[0]) + 1
 
 
 def load_chain(path: str, template: ParamVector | None = None) -> McmcChain:
     """Load a streamed chain record file written by :func:`mcmc_sample`."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith(_CHAIN_HEADER):
-            raise DataError(f"{path} is not a chain record file")
-        meta = json.loads(header[len(_CHAIN_HEADER) :])
-        columns = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    meta, columns, data = _read_records(path)
+    if not len(data):
+        raise DataError(f"{path} holds no chain records")
     n_scales = sum(1 for c in columns if c.startswith("scale."))
-    names = columns[2 + n_scales :]
-    data = np.array([[float(x) for x in r] for r in rows])
-    steps = data[:, 0].astype(int)
-    keep = steps >= meta["burn_in"]
+    keep = data[:, 0].astype(int) >= meta["burn_in"]
     return McmcChain(
-        names=names,
+        names=columns[2 + n_scales :],
         samples=data[keep, 2 + n_scales :],
         log_posterior=data[keep, 1],
         acceptance={},

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import LossDistribution, aggregate_loss, quantile
+from .aggregation import LossDistribution, aggregate_loss, mixture, quantile
 from .domain import LatticeSeverity, Policyholder, Portfolio, RiskFactorSpec
 from .errors import DataError
-from .estimation import McmcChain, ParamVector, log_likelihood_inflated
+from .estimation import McmcChain, ParamVector, log_likelihood_inflated, posterior_draws
 from .trends import TrendParams, cause_weights, death_prob
 
 __all__ = [
@@ -50,7 +50,6 @@ class ForecastConfig:
     inflation: float = 0.0
     population: dict = field(default_factory=dict)
     population_path: dict = field(default_factory=dict)
-    include_parameter_uncertainty: bool = True
 
     def __post_init__(self):
         if self.horizon <= self.base_year:
@@ -103,18 +102,6 @@ def forecast_death_rate(
     return aggregate_loss(Portfolio(holders=[holder]), rf, unit=1.0)
 
 
-def _mixture(dists: list[LossDistribution]) -> LossDistribution:
-    """Equal-weight mixture of count distributions on the same lattice."""
-    length = max(d.pmf.size for d in dists)
-    pmf = np.zeros(length)
-    tail = 0.0
-    for d in dists:
-        pmf[: d.pmf.size] += d.pmf
-        tail += d.truncation_mass
-    n = len(dists)
-    return LossDistribution(unit=dists[0].unit, pmf=pmf / n, truncation_mass=tail / n)
-
-
 def forecast_bands(
     cell: tuple,
     years,
@@ -127,28 +114,15 @@ def forecast_bands(
 
     For each year, every sample's count distribution enters an equal-weight
     mixture whose quantiles, divided by the frozen exposure, form the band.
-    A single parameter vector gives plain engine bands.
+    A single parameter vector, such as ``chain.mean_param_vector()``, gives
+    plain engine bands without parameter uncertainty.
     """
-    if isinstance(chain, ParamVector):
-        samples = [chain]
-    elif isinstance(chain, McmcChain):
-        if len(chain) == 0:
-            raise DataError("empty chain")
-        if not cfg.include_parameter_uncertainty:
-            samples = [chain.mean_param_vector()]
-        else:
-            idx = np.unique(np.linspace(0, len(chain) - 1, min(max_samples, len(chain))).astype(int))
-            samples = [chain.param_vector(i) for i in idx]
-    else:
-        samples = list(chain)
-        if not samples:
-            raise DataError("empty chain")
-
+    samples = posterior_draws(chain, max_samples)
     out = {}
     for year in years:
         m = cfg.exposure_for(cell, year)
         dists = [forecast_death_rate(cell, year, pv, cfg) for pv in samples]
-        mix = _mixture(dists)
+        mix = mixture(dists)
         out[int(year)] = {lv: quantile(mix, lv) / m for lv in levels}
     return out
 

@@ -14,8 +14,7 @@ enters through the recursion, parameter risk through the posterior mixture.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -24,15 +23,15 @@ from .aggregation import (
     LossDistribution,
     PoissonCount,
     SectorCompound,
+    aggregate_sectors,
     build_sectors,
-    convolve_sectors,
-    panjer_compound,
+    mixture,
     quantile,
     stochastic_round,
 )
 from .domain import Portfolio, RiskFactorSpec
 from .errors import DataError, NumericalError
-from .estimation import McmcChain, ParamVector
+from .estimation import McmcChain, ParamVector, posterior_draws, posterior_mean
 from .forecast import _q_resolver
 
 __all__ = [
@@ -109,26 +108,13 @@ def scenario_loss(
         if not 1 <= k <= K:
             raise DataError(f"scenario fixes unknown cause {k}")
     sectors = build_sectors(portfolio, rf, unit)
-    conditioned = []
-    for s in sectors:
-        lam = scenario.fixed_factors.get(s.k)
-        if lam is None or s.intensity == 0.0:
-            conditioned.append(s)
-        else:
-            conditioned.append(
-                SectorCompound(
-                    k=s.k,
-                    count_law=PoissonCount(s.intensity * lam),
-                    severity=s.severity,
-                    intensity=s.intensity,
-                )
-            )
-    if n_max is None:
-        mean = sum(s.mean() for s in conditioned)
-        sd = math.sqrt(sum(s.var() for s in conditioned))
-        n_max = int(math.ceil(mean + 12.0 * sd))
-    parts = [panjer_compound(s, n_max) for s in conditioned]
-    return convolve_sectors(parts, unit=unit, n_max=n_max)
+    conditioned = [
+        replace(s, count_law=PoissonCount(s.intensity * scenario.fixed_factors[s.k]))
+        if s.k in scenario.fixed_factors and s.intensity != 0.0
+        else s
+        for s in sectors
+    ]
+    return aggregate_sectors(conditioned, n_max)
 
 
 def gamma_mixture_grid(sigma_sq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,18 +219,8 @@ def delta_bof_distribution(
     if not policies:
         raise DataError("empty policy list")
     d1 = curve.discount(1)
-    if isinstance(chain, McmcChain):
-        if len(chain) == 0:
-            raise DataError("empty chain")
-        idx = np.unique(np.linspace(0, len(chain) - 1, min(max_samples, len(chain))).astype(int))
-        samples = [chain.param_vector(i) for i in idx]
-        theta_mean = chain.mean_param_vector()
-    else:
-        samples = list(chain)
-        if not samples:
-            raise DataError("empty chain")
-        flats = np.stack([_pv_flat(pv) for pv in samples])
-        theta_mean = _pv_from_flat(samples[0], flats.mean(axis=0))
+    samples = posterior_draws(chain, max_samples)
+    theta_mean = posterior_mean(chain)
 
     curve1 = curve.shifted(1)
     bel0 = [
@@ -291,61 +267,8 @@ def delta_bof_distribution(
         sector = SectorCompound(
             k=0, count_law=PoissonCount(lam_tot), severity=severity, intensity=lam_tot
         )
-        n_max = int(math.ceil(sector.mean() + 12.0 * math.sqrt(max(sector.var(), 1e-30))))
-        dist = panjer_compound(sector, n_max)
-        dists.append(
-            LossDistribution(
-                unit=unit,
-                pmf=dist.pmf,
-                truncation_mass=dist.truncation_mass,
-                offset=det,
-            )
-        )
-    return _mix_shifted(dists)
-
-
-def _pv_flat(pv: ParamVector) -> np.ndarray:
-    from .estimation import _flatten
-
-    return _flatten(pv)
-
-
-def _pv_from_flat(template: ParamVector, flat: np.ndarray) -> ParamVector:
-    from .estimation import _flat_names, _unflatten
-
-    return _unflatten(template, _flat_names(template), flat)
-
-
-def _mix_shifted(dists: list[LossDistribution]) -> LossDistribution:
-    """Equal-weight mixture of lattice laws with real-valued offsets.
-
-    Components share the unit; each component's offset residual relative to
-    the base lattice is stochastically rounded (mean preserved) onto the
-    grid before averaging.
-    """
-    unit = dists[0].unit
-    base = min(d.offset for d in dists)
-    shifts = []
-    top = 0
-    for d in dists:
-        x = (d.offset - base) / unit
-        n = int(np.floor(x + 1e-12))
-        f = x - n
-        if f < 1e-12:
-            f = 0.0
-        shifts.append((n, f))
-        top = max(top, n + d.pmf.size + 1)
-    pmf = np.zeros(top)
-    tail = 0.0
-    for d, (n, f) in zip(dists, shifts):
-        pmf[n : n + d.pmf.size] += (1.0 - f) * d.pmf
-        if f:
-            pmf[n + 1 : n + 1 + d.pmf.size] += f * d.pmf
-        tail += d.truncation_mass
-    m = len(dists)
-    return LossDistribution(
-        unit=unit, pmf=pmf / m, truncation_mass=tail / m, offset=base
-    )
+        dists.append(replace(aggregate_sectors([sector]), offset=det))
+    return mixture(dists)
 
 
 def scr(delta_bof: LossDistribution) -> float:

@@ -237,15 +237,23 @@ def _w_grid_arrays(years, u, v, phi, psi, t0) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _kappa_grid(years: np.ndarray, kappa: dict, age_midpoints, n_age_groups: int):
+    """Cohort shifts kappa_z, z = round(t - midpoint(a)), as a (T, A) grid
+    (missing birth years mean zero); None when ``kappa`` is empty."""
+    if not kappa:
+        return None
+    grid = np.zeros((years.size, n_age_groups))
+    for ti, t in enumerate(years):
+        for a in range(n_age_groups):
+            mid = 0.0 if age_midpoints is None else float(age_midpoints[a])
+            grid[ti, a] = kappa.get(int(round(t - mid)), 0.0)
+    return grid
+
+
 def death_prob_grid(years, params: TrendParams) -> np.ndarray:
     """q_{a,g}(t) for all cells at once; shape (T, A, 2)."""
     years = np.asarray(years, dtype=float)
-    kap = None
-    if params.kappa:
-        kap = np.zeros((years.size, params.n_age_groups))
-        for ti, t in enumerate(years):
-            for a in range(params.n_age_groups):
-                kap[ti, a] = params.kappa_for(a, t)
+    kap = _kappa_grid(years, params.kappa, params.age_midpoints, params.n_age_groups)
     return _q_grid_arrays(
         years, params.alpha, params.beta, params.zeta, params.eta, params.t0, kap
     )

@@ -28,8 +28,7 @@ from scipy import special, stats
 
 from .domain import CohortPanel
 from .errors import DataError
-from .estimation import ParamVector, map_sigma, mom_transform, _rho_grid
-from .estimation import McmcChain
+from .estimation import McmcChain, ParamVector, _rho_grid, map_sigma, mom_transform, posterior_draws
 
 __all__ = [
     "TestReport",
@@ -94,20 +93,16 @@ def moment_bounds_test(
     """Compare sample variances and same-cause covariances of the rescaled
     counts with posterior-predictive quantile bands.
 
-    Each band draw picks a chain sample, simulates a fresh T-year panel at
-    its parameters and recomputes the statistic, so the band reflects both
-    parameter uncertainty and finite-sample noise of the statistic; with
-    the default level the band spans the 5% and 95% quantiles.
+    Band draw d takes the d-th of ``n_draws`` chain samples spread evenly
+    over the chain (cycling when the chain is shorter), simulates a fresh
+    T-year panel at its parameters and recomputes the statistic, so the
+    band reflects both parameter uncertainty and finite-sample noise of
+    the statistic; with the default level the band spans the 5% and 95%
+    quantiles.
     """
     if panel.n_years < 3:
         raise DataError("moment bounds need at least 3 years")
-    samples = (
-        [chain.param_vector(i) for i in range(len(chain))]
-        if isinstance(chain, McmcChain)
-        else list(chain)
-    )
-    if not samples:
-        raise DataError("empty chain")
+    samples = posterior_draws(chain, n_draws)
 
     transformed = mom_transform(panel, params)
     obs = transformed.deaths.astype(float)

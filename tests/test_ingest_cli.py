@@ -260,3 +260,55 @@ class TestCli:
         open(chain, "w").writelines(lines[: 2 + 30])
         assert main(["fit-mcmc", "-c", cfg, "-o", out, "--params", params, "--resume"]) == 0
         assert open(chain).read() == full
+
+
+def _damage_chain(text: str, damage: str) -> str:
+    lines = text.splitlines(keepends=True)
+    if damage == "header-only":
+        return "".join(lines[:2])
+    if damage == "torn":
+        return text[:-7]
+    last = lines[-1].rstrip("\n").split(",")
+    if damage == "short":
+        last = last[:-1]
+    else:  # unparsable
+        last[-1] = "0.12x4"
+    return "".join(lines[:-1]) + ",".join(last) + "\n"
+
+
+class TestChainFiles:
+    @pytest.mark.parametrize("damage", ["header-only", "torn", "short", "unparsable"])
+    def test_damaged_chain_is_a_data_error(self, cli_workspace, damage):
+        ws = str(cli_workspace)
+        cfg = os.path.join(ws, "ecrplus.ini")
+        out = os.path.join(ws, "out")
+        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+        params = os.path.join(out, "params_mom.json")
+        assert main(["fit-mcmc", "-c", cfg, "-o", out, "--params", params]) == 0
+        damaged = os.path.join(ws, "damaged.csv")
+        with open(os.path.join(out, "chain_0.csv")) as fh:
+            text = fh.read()
+        with open(damaged, "w") as fh:
+            fh.write(_damage_chain(text, damage))
+        argv = ["forecast", "-c", cfg, "-o", out, "--params", params, "--chain", damaged]
+        assert main(argv) == 2
+
+    def test_resume_with_other_settings_is_a_data_error(self, cli_workspace):
+        ws = str(cli_workspace)
+        cfg = os.path.join(ws, "ecrplus.ini")
+        seed2 = os.path.join(ws, "seed2.ini")
+        with open(cfg) as fh:
+            text = fh.read()
+        with open(seed2, "w") as fh:
+            fh.write(text.replace("seed = 5", "seed = 2"))
+        out = os.path.join(ws, "out")
+        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+        params = os.path.join(out, "params_mom.json")
+        run = ["-o", out, "--params", params, "--steps", "60", "--burn-in", "30"]
+        assert main(["fit-mcmc", "-c", seed2, *run]) == 0
+        chain = os.path.join(out, "chain_0.csv")
+        with open(chain) as fh:
+            written = fh.read()
+        assert main(["fit-mcmc", "-c", cfg, *run, "--resume"]) == 2
+        with open(chain) as fh:
+            assert fh.read() == written

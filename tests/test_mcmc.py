@@ -3,6 +3,7 @@ import pytest
 
 from ecrplus.errors import NumericalError
 from ecrplus.estimation import (
+    BlockPrior,
     McmcConfig,
     ParamVector,
     PriorSpec,
@@ -10,6 +11,8 @@ from ecrplus.estimation import (
     information_criteria,
     load_chain,
     log_likelihood,
+    log_likelihood_bernoulli,
+    log_prior,
     mcmc_sample,
     metropolis_accept,
     mom_fit,
@@ -85,6 +88,26 @@ class TestSamplerMechanics:
         assert len(records) == 80
         loaded = load_chain(path, template=init)
         assert len(loaded) == 80
+
+    @pytest.mark.parametrize("likelihood", ["poisson", "bernoulli"])
+    def test_recorded_log_posterior_matches_public_functions(self, rng, likelihood):
+        if likelihood == "poisson":
+            tr = realistic_trends(rng, A=3, K=2)
+            panel, _ = simulate_panel(rng, tr, [0.1, 0.2], np.arange(1987, 1995), 20_000)
+            init = ParamVector(trends=tr, sigma2=np.array([0.1, 0.2]))
+            loglik = log_likelihood
+        else:
+            panel, tr = _k0_panel(rng, T=5, m=5000)
+            init = ParamVector(trends=tr, sigma2=np.zeros(0))
+            loglik = log_likelihood_bernoulli
+        prior = PriorSpec({"alpha": BlockPrior(c=5.0, epsilon=0.01, order=2)})
+        cfg = McmcConfig(n_steps=40, burn_in=10, seed=3, likelihood=likelihood,
+                         proposal_scales=dict.fromkeys(("alpha", "beta", "u", "v", "sigma2"), 0.002))
+        chain = mcmc_sample(panel, init, prior, cfg)
+        for i in (0, len(chain) // 2, len(chain) - 1):
+            pv = chain.param_vector(i)
+            expected = loglik(panel, pv) + log_prior(pv, prior)
+            assert chain.log_posterior[i] == pytest.approx(expected, rel=1e-12)
 
     def test_bad_init_rejected(self, rng):
         panel, tr = _k0_panel(rng, T=3, m=1000)

@@ -11,7 +11,7 @@ from ecrplus.aggregation import (
 )
 from ecrplus.domain import LatticeSeverity, Policyholder, Portfolio, RiskFactorSpec
 from ecrplus.errors import DataError, NumericalError
-from ecrplus.estimation import ParamVector
+from ecrplus.estimation import McmcChain, ParamVector, _flat_names, _flatten
 from ecrplus.solvency import (
     DiscountCurve,
     Scenario,
@@ -66,6 +66,19 @@ class TestScenarioLoss:
         for p in (0.5, 0.9, 0.95):
             assert quantile(cond, p) >= quantile(base, p)
         assert quantile(cond, 0.5) > quantile(base, 0.5)
+
+    def test_empty_scenario_equals_unconditional(self):
+        holder = Policyholder(
+            id="s", age_group=0, gender="f", birth_year=0, death_prob=0.05,
+            weights=np.array([0.2, 0.3, 0.5]), payment=LatticeSeverity(1.0, {1: 0.4, 3: 0.6}),
+            survival_payment=LatticeSeverity.point(1), multiplicity=800,
+        )
+        pf = Portfolio(holders=[holder])
+        rf = [RiskFactorSpec(1, 0.1), RiskFactorSpec(2, 0.2)]
+        cond = scenario_loss(pf, rf, Scenario({}))
+        base = aggregate_loss(pf, rf, unit=1.0)
+        assert tv_distance(cond, base) == 0.0
+        assert cond.n_max == base.n_max
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +235,28 @@ class TestDeltaBof:
         flat_chain = _chain_of_params(rng, 1, spread=0.0)
         without = delta_bof_distribution(policies, 0.0, 0.0, curve, flat_chain, 2020, unit=1.0)
         assert with_unc.variance() > without.variance()
+
+    @pytest.mark.parametrize("max_samples", [200, 5])
+    def test_chain_equals_same_records_as_list(self, rng, max_samples):
+        curve = DiscountCurve.flat(0.005, 25)
+        policies = [
+            TermPolicy(age=a, gender=g, sum_insured=1000.0 + 500.0 * a, term_years=12)
+            for a in (45, 55, 65) for g in "fm"
+        ]
+        records = _chain_of_params(rng, 12, spread=0.08)
+        chain = McmcChain(
+            names=_flat_names(records[0]),
+            samples=np.stack([_flatten(pv) for pv in records]),
+            log_posterior=np.zeros(len(records)),
+            acceptance={},
+            template=records[0],
+        )
+        args = dict(asset_value=2000.0, coupon=0.01, curve=curve, base_year=2020,
+                    unit=5.0, max_samples=max_samples)
+        from_chain = delta_bof_distribution(policies, chain=chain, **args)
+        from_list = delta_bof_distribution(policies, chain=records, **args)
+        assert tv_distance(from_chain, from_list) == 0.0
+        assert scr(from_chain) == scr(from_list)
 
     def test_scr_quantile_semantics(self):
         point = LossDistribution.point(42.0)

@@ -3,7 +3,7 @@ import pytest
 
 from ecrplus.domain import CohortPanel
 from ecrplus.errors import DataError
-from ecrplus.estimation import ParamVector, map_risk_factor
+from ecrplus.estimation import McmcChain, ParamVector, _flat_names, _flatten, map_risk_factor
 from ecrplus.trends import death_prob_grid
 from ecrplus.validation import (
     bg_lm_test,
@@ -57,6 +57,28 @@ class TestMomentBounds:
         panel, pv, _ = _setup(rng)
         with pytest.raises(DataError):
             moment_bounds_test(panel, pv, [])
+
+    def test_long_chain_builds_only_the_draws_it_uses(self, rng, monkeypatch):
+        panel, pv, _ = _setup(rng, T=5)
+        n_records, n_draws = 3000, 40
+        chain = McmcChain(
+            names=_flat_names(pv),
+            samples=np.repeat(_flatten(pv)[None, :], n_records, axis=0),
+            log_posterior=np.zeros(n_records),
+            acceptance={},
+            template=pv,
+        )
+        built = []
+        original = McmcChain.param_vector
+
+        def counting(self, i):
+            built.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(McmcChain, "param_vector", counting)
+        moment_bounds_test(panel, pv, chain, n_draws=n_draws)
+        assert 0 < len(built) <= n_draws
+        assert built[0] == 0 and built[-1] == n_records - 1
 
 
 class TestStandardizedResiduals:
