@@ -212,13 +212,10 @@ def stochastic_round(severity, unit: float) -> LatticeSeverity:
 
     An atom at y = (n + f) u with f in [0, 1) sends mass (1 - f) to n u and
     f to (n + 1) u, so the mean is preserved exactly.  ``severity`` is a
-    mapping from non-negative payment values to probabilities, or an
-    existing :class:`LatticeSeverity` to re-round.
+    mapping from non-negative payment values to probabilities.
     """
     if unit <= 0.0:
         raise ValueError("loss unit must be positive")
-    if isinstance(severity, LatticeSeverity):
-        severity = {k * severity.unit: p for k, p in severity.pmf.items()}
     out: dict[int, float] = {}
     for y, prob in severity.items():
         y = float(y)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import aggregation, estimation, forecast, ingest, mc_oracle, solvency, validation
 from .domain import CellSpec, LatticeSeverity, Policyholder, Portfolio, RiskFactorSpec
-from .errors import DataError, EcrplusError, NumericalError
+from .errors import DataError, DegenerateEstimateError, EcrplusError, NumericalError
 from .trends import TrendParams
 
 QUANTILE_LEVELS = (0.01, 0.05, 0.5, 0.95, 0.99, 0.995)
@@ -81,40 +81,23 @@ def trends_from_config(cfg: configparser.ConfigParser, n_causes: int) -> TrendPa
 
 def params_to_dict(params: estimation.ParamVector) -> dict:
     t = params.trends
-    return {
-        "alpha": t.alpha.tolist(),
-        "beta": t.beta.tolist(),
-        "zeta": t.zeta.tolist(),
-        "eta": t.eta.tolist(),
-        "u": t.u.tolist(),
-        "v": t.v.tolist(),
-        "phi": t.phi.tolist(),
-        "psi": t.psi.tolist(),
-        "t0": t.t0,
-        "kappa": {str(z): v for z, v in sorted(t.kappa.items())},
-        "age_lower_bounds": None
-        if t.age_lower_bounds is None
-        else t.age_lower_bounds.tolist(),
-        "sigma2": params.sigma2.tolist(),
-        "fixed": sorted(params.fixed),
-    }
+    out = {f: v.tolist() for f, v in params.to_state().items() if f != "kappa"}
+    out.update(
+        t0=t.t0,
+        kappa={str(z): v for z, v in sorted(t.kappa.items())},
+        age_lower_bounds=None if t.age_lower_bounds is None else t.age_lower_bounds.tolist(),
+        fixed=sorted(params.fixed),
+    )
+    return out
 
 
 def params_from_dict(d: dict) -> estimation.ParamVector:
+    bounds = d.get("age_lower_bounds")
     trends = TrendParams(
-        alpha=np.array(d["alpha"]),
-        beta=np.array(d["beta"]),
-        zeta=np.array(d["zeta"]),
-        eta=np.array(d["eta"]),
-        u=np.array(d["u"]),
-        v=np.array(d["v"]),
-        phi=np.array(d["phi"]),
-        psi=np.array(d["psi"]),
+        **{f: np.array(d[f]) for f in estimation.TREND_FAMILIES},
         t0=float(d["t0"]),
         kappa={int(z): float(v) for z, v in d.get("kappa", {}).items()},
-        age_lower_bounds=None
-        if d.get("age_lower_bounds") is None
-        else np.array(d["age_lower_bounds"]),
+        age_lower_bounds=None if bounds is None else np.array(bounds),
     )
     return estimation.ParamVector(
         trends=trends,
@@ -127,7 +110,16 @@ def load_params(path: str) -> estimation.ParamVector:
     if not os.path.exists(path):
         raise DataError(f"parameter file not found: {path}")
     with open(path) as fh:
-        return params_from_dict(json.load(fh))
+        try:
+            return params_from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: damaged parameter file ({exc!r})") from None
+
+
+def _posterior_sample(args, params: estimation.ParamVector):
+    """The chain file given with ``--chain``, checked against the
+    parameter file's free blocks, or the parameter vector alone."""
+    return estimation.load_chain(args.chain, template=params) if args.chain else [params]
 
 
 def save_params(params: estimation.ParamVector, path: str):
@@ -459,10 +451,8 @@ def cmd_forecast(args) -> int:
     fcfg = forecast.ForecastConfig(
         base_year=base_year, horizon=horizon, inflation=d, population=population
     )
-    chain = None
-    if args.chain:
-        chain = estimation.load_chain(args.chain, template=params)
     max_samples = int(sec.get("max_samples", "50"))
+    draws = estimation.posterior_draws(_posterior_sample(args, params), max_samples)
     years = list(range(base_year + 1, horizon + 1))
     with open(os.path.join(args.out, "forecast_bands.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -470,8 +460,7 @@ def cmd_forecast(args) -> int:
         for a in range(panel.n_age_groups):
             for gi, g in enumerate("fm"):
                 bands = forecast.forecast_bands(
-                    (a, gi), years, chain if chain is not None else params, fcfg,
-                    levels=tuple(levels), max_samples=max_samples,
+                    (a, gi), years, draws, fcfg, levels=tuple(levels), max_samples=max_samples
                 )
                 for year in years:
                     w.writerow(
@@ -552,9 +541,7 @@ def cmd_scr(args) -> int:
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{sec['policies']}:{i}: bad policy row ({exc})") from None
     params = load_params(args.params)
-    chain = (
-        estimation.load_chain(args.chain, template=params) if args.chain else [params]
-    )
+    chain = _posterior_sample(args, params)
     horizon = max(p.term_years for p in policies) + 2
     curve = solvency.DiscountCurve.flat(float(sec.get("rate", "0.0")), horizon)
     base_year = int(sec.get("base_year", str(int(params.trends.t0))))
@@ -581,9 +568,7 @@ def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     panel = panel_from_config(cfg)
     params = load_params(args.params)
-    chain = (
-        estimation.load_chain(args.chain, template=params) if args.chain else [params]
-    )
+    chain = _posterior_sample(args, params)
     report = {}
 
     mb = validation.moment_bounds_test(panel, params, chain)
@@ -598,13 +583,16 @@ def cmd_validate(args) -> int:
             w.writerow([s["kind"], s["cell"], f"{s['observed']:.8g}",
                         f"{s['band'][0]:.8g}", f"{s['band'][1]:.8g}", int(s["accepted"])])
 
-    lam = np.empty((panel.n_years, panel.n_causes - 1))
+    # A factor mode that does not exist (too few deaths) is taken as its
+    # prior mean, lambda = 1, and counted.
+    lam = np.ones((panel.n_years, panel.n_causes - 1))
+    degenerate_modes = 0
     for k in range(1, panel.n_causes):
         for ti, year in enumerate(panel.years):
             try:
                 lam[ti, k - 1] = estimation.map_risk_factor(panel, params, k, int(year))
-            except EcrplusError:
-                lam[ti, k - 1] = 1.0
+            except DegenerateEstimateError:
+                degenerate_modes += 1
     resid = validation.standardized_residuals(panel, params, lam)
 
     if panel.n_causes > 1:
@@ -632,11 +620,16 @@ def cmd_validate(args) -> int:
         "max_order": max_order,
     }
 
-    ks = {}
+    ks, sigma_fallbacks = {}, 0
     for k in range(1, panel.n_causes):
         rep = validation.ks_gamma_test(lam[:, k - 1], float(params.sigma2[k - 1]))
         ks[panel.cause_labels[k]] = rep.statistics[0]
+        sigma_fallbacks += rep.extras["sigma_fallbacks"]
     report["ks_gamma"] = ks
+    report["fallbacks"] = {
+        "degenerate_factor_modes": degenerate_modes,
+        "ks_bootstrap_sigma_moments": sigma_fallbacks,
+    }
 
     _write_json(report, os.path.join(args.out, "validation.json"))
     print("validate:", json.dumps({k: (v if not isinstance(v, dict) else

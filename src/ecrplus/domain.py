@@ -96,7 +96,6 @@ class RiskFactorSpec:
 
     k: int
     variance: float
-    label: str = ""
 
     def __post_init__(self):
         if self.variance <= 0.0:

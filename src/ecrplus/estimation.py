@@ -68,6 +68,8 @@ __all__ = [
 
 # Parameter families in their fixed Gibbs update order.
 FAMILIES = ("alpha", "beta", "zeta", "eta", "kappa", "u", "v", "phi", "psi", "sigma2")
+# The families held as arrays on TrendParams (kappa is a dict by birth year).
+TREND_FAMILIES = ("alpha", "beta", "zeta", "eta", "u", "v", "phi", "psi")
 _POSITIVE = {"eta", "psi", "sigma2"}
 _DEFAULT_FIXED = frozenset({"zeta", "eta", "kappa", "phi", "psi"})
 
@@ -125,7 +127,7 @@ class ParamVector:
 
     def with_state(self, state: dict[str, np.ndarray]) -> "ParamVector":
         kappa = dict(zip(self.kappa_years(), np.asarray(state["kappa"], dtype=float)))
-        blocks = {f: state[f] for f in ("alpha", "beta", "zeta", "eta", "u", "v", "phi", "psi")}
+        blocks = {f: state[f] for f in TREND_FAMILIES}
         trends = replace(self.trends, kappa=kappa, **blocks)
         return replace(self, trends=trends, sigma2=state["sigma2"])
 
@@ -335,17 +337,11 @@ def _log_prior_state(state: dict, prior: PriorSpec) -> float:
         if bp.c == 0.0:
             continue
         arr = state[family]
-        if family == "kappa":
-            total += _block_log_prior(arr, bp)
-        elif arr.ndim == 2:
-            for gi in range(arr.shape[1]):
-                total += _block_log_prior(arr[:, gi], bp)
-        elif arr.ndim == 3:
-            for gi in range(arr.shape[1]):
-                for k in range(arr.shape[2]):
-                    total += _block_log_prior(arr[:, gi, k], bp)
-        else:
-            total += _block_log_prior(arr, bp)
+        if arr.size == 0:
+            continue
+        # One column per gender (and cause); 1-d families are one column.
+        for col in arr.reshape(arr.shape[0], -1).T:
+            total += _block_log_prior(col, bp)
     return total
 
 
@@ -559,7 +555,6 @@ class McmcConfig:
     n_steps: int
     burn_in: int
     seed: int = 0
-    n_chains: int = 1
     proposal_scales: dict = field(default_factory=dict)
     adapt: bool = True
     likelihood: str = "poisson"
@@ -581,18 +576,16 @@ class McmcChain:
     samples: np.ndarray
     log_posterior: np.ndarray
     acceptance: dict
-    template: ParamVector | None = None
+    template: ParamVector
 
     def __len__(self) -> int:
         return self.samples.shape[0]
 
     def param_vector(self, i: int) -> ParamVector:
-        if self.template is None:
-            raise DataError("chain has no parameter template; pass one to load_chain")
-        return _unflatten(self.template, self.names, self.samples[i])
+        return _unflatten(self.template, self.samples[i])
 
     def mean_param_vector(self) -> ParamVector:
-        return _unflatten(self.template, self.names, self.samples.mean(axis=0))
+        return _unflatten(self.template, self.samples.mean(axis=0))
 
     def mode_param_vector(self) -> ParamVector:
         return self.param_vector(int(np.argmax(self.log_posterior)))
@@ -605,16 +598,12 @@ class McmcChain:
         return out
 
 
-def posterior_draws(
-    chain: McmcChain | list[ParamVector] | ParamVector, max_samples: int
-) -> list[ParamVector]:
+def posterior_draws(chain: McmcChain | list[ParamVector], max_samples: int) -> list[ParamVector]:
     """At most ``max_samples`` draws spread evenly over a posterior sample,
     first and last included; all of them when there are no more.
 
-    A single parameter vector is a sample of one.
+    Only the chosen records of a chain become parameter vectors.
     """
-    if isinstance(chain, ParamVector):
-        return [chain]
     n = len(chain)
     if n == 0:
         raise DataError("empty chain")
@@ -624,16 +613,14 @@ def posterior_draws(
     return [chain[i] for i in idx]
 
 
-def posterior_mean(chain: McmcChain | list[ParamVector] | ParamVector) -> ParamVector:
+def posterior_mean(chain: McmcChain | list[ParamVector]) -> ParamVector:
     """Mean of the free parameters over every draw of a posterior sample."""
-    if isinstance(chain, ParamVector):
-        return chain
     if len(chain) == 0:
         raise DataError("empty chain")
     if isinstance(chain, McmcChain):
         return chain.mean_param_vector()
     flats = np.stack([_flatten(pv) for pv in chain])
-    return _unflatten(chain[0], _flat_names(chain[0]), flats.mean(axis=0))
+    return _unflatten(chain[0], flats.mean(axis=0))
 
 
 def _blocks_for(params: ParamVector) -> list[tuple[str, int | None]]:
@@ -656,23 +643,18 @@ def _blocks_for(params: ParamVector) -> list[tuple[str, int | None]]:
 
 
 def _block_view(state: dict, family: str, gi: int | None) -> np.ndarray:
+    """One Gibbs block, flat: the whole family, or its gender column
+    ``arr[:, gi]`` (with every cause for the weight families)."""
     arr = state[family]
-    if gi is None:
-        return arr.reshape(-1)
-    return arr[:, gi].reshape(-1) if arr.ndim == 2 else arr[:, gi, :].reshape(-1)
+    return (arr if gi is None else arr[:, gi]).reshape(-1)
 
 
 def _set_block(state: dict, family: str, gi: int | None, flat: np.ndarray):
-    arr = state[family]
-    if gi is None:
-        state[family] = flat.reshape(arr.shape)
-    else:
-        arr = arr.copy()
-        if arr.ndim == 2:
-            arr[:, gi] = flat
-        else:
-            arr[:, gi, :] = flat.reshape(arr.shape[0], arr.shape[2])
-        state[family] = arr
+    """Replace one Gibbs block in ``state`` with a copy holding ``flat``."""
+    arr = state[family].copy()
+    block = arr if gi is None else arr[:, gi]
+    block[...] = np.reshape(flat, block.shape)
+    state[family] = arr
 
 
 def _flat_names(params: ParamVector) -> list[str]:
@@ -692,7 +674,7 @@ def _flatten(params: ParamVector) -> np.ndarray:
     )
 
 
-def _unflatten(template: ParamVector, names: list[str], flat: np.ndarray) -> ParamVector:
+def _unflatten(template: ParamVector, flat: np.ndarray) -> ParamVector:
     state = template.to_state()
     pos = 0
     for family, gi in _blocks_for(template):
@@ -911,11 +893,11 @@ def _read_records(path: str) -> tuple[dict, list[str], np.ndarray]:
     """Header metadata, column names and (records, columns) values of a
     chain record file.
 
-    Every record is written as one newline-terminated line, so a last line
-    without its newline is a write that was cut short.
+    Every record is written as one newline-terminated line, so a file whose
+    last byte is not a newline holds a write that was cut short.
     """
-    with open(path) as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", "replace")
         if not header.startswith(_CHAIN_HEADER):
             raise DataError(f"{path} is not a chain record file")
         try:
@@ -924,24 +906,27 @@ def _read_records(path: str) -> tuple[dict, list[str], np.ndarray]:
             meta = None
         if not isinstance(meta, dict) or any(k not in meta for k in _CHAIN_META):
             raise DataError(f"{path}: damaged chain header")
-        columns = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            if not line.endswith("\n"):
+        columns = fh.readline().decode("utf-8", "replace").strip().split(",")
+        start = fh.tell()
+        if fh.seek(0, os.SEEK_END) > start:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
                 raise DataError(f"{path}: the last record is torn (no line end)")
-            fields = line.split(",")
-            if len(fields) != len(columns):
-                raise DataError(
-                    f"{path}: record {len(rows) + 1} has {len(fields)} fields, "
-                    f"expected {len(columns)}"
-                )
+        fh.seek(start)
+        with warnings.catch_warnings():
+            # A file without records is valid here: a resume restarts it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                rows.append([float(x) for x in fields])
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
             except ValueError as exc:
-                raise DataError(f"{path}: record {len(rows) + 1} is unparsable ({exc})") from None
-    return meta, columns, np.array(rows).reshape(len(rows), len(columns))
+                raise DataError(f"{path}: damaged chain records ({exc})") from None
+    if not data.size:
+        return meta, columns, np.empty((0, len(columns)))
+    if data.shape[1] != len(columns):
+        raise DataError(
+            f"{path}: records have {data.shape[1]} fields, the column row names {len(columns)}"
+        )
+    return meta, columns, data
 
 
 def _resume_point(path: str, meta: dict, init: ParamVector, blocks) -> tuple[dict, dict, int] | None:
@@ -960,19 +945,28 @@ def _resume_point(path: str, meta: dict, init: ParamVector, blocks) -> tuple[dic
     row = data[-1]
     n_blocks = len(blocks)
     scales = {b: float(row[2 + i]) for i, b in enumerate(blocks)}
-    state = _unflatten(init, _flat_names(init), row[2 + n_blocks :]).to_state()
+    state = _unflatten(init, row[2 + n_blocks :]).to_state()
     return state, scales, int(row[0]) + 1
 
 
-def load_chain(path: str, template: ParamVector | None = None) -> McmcChain:
-    """Load a streamed chain record file written by :func:`mcmc_sample`."""
+def load_chain(path: str, template: ParamVector) -> McmcChain:
+    """Load a streamed chain record file written by :func:`mcmc_sample`.
+
+    The file's parameter columns must be the free blocks of ``template``,
+    in order; a chain written with other free blocks is a :class:`DataError`.
+    """
     meta, columns, data = _read_records(path)
     if not len(data):
         raise DataError(f"{path} holds no chain records")
     n_scales = sum(1 for c in columns if c.startswith("scale."))
+    names = columns[2 + n_scales :]
+    if names != _flat_names(template):
+        raise DataError(
+            f"{path}: the chain's parameter columns are not the free blocks of the parameters"
+        )
     keep = data[:, 0].astype(int) >= meta["burn_in"]
     return McmcChain(
-        names=columns[2 + n_scales :],
+        names=names,
         samples=data[keep, 2 + n_scales :],
         log_posterior=data[keep, 1],
         acceptance={},
@@ -1033,13 +1027,13 @@ def cv_prior_scale(
             )
 
             def neg(x):
-                pv = _unflatten(template, _flat_names(template), x)
+                pv = _unflatten(template, x)
                 ll = log_likelihood_bernoulli(sub, pv)
                 return -(ll + log_prior(pv, prior))
 
             x0 = _flatten(template)
             res = optimize.minimize(neg, x0, method="L-BFGS-B")
-            fitted = _unflatten(template, _flat_names(template), res.x)
+            fitted = _unflatten(template, res.x)
             total += log_likelihood_bernoulli(hold, fitted)
         scores[float(c)] = total
     best = max(scores, key=scores.get)

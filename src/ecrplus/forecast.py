@@ -25,7 +25,12 @@ from .errors import DataError
 from .estimation import McmcChain, ParamVector, log_likelihood_inflated, posterior_draws
 from .trends import TrendParams, cause_weights, death_prob
 
+# Life tables close with q = 1 at this age; life expectancies and the
+# term-life liabilities in ``solvency`` share it.
+TERMINAL_AGE = 121
+
 __all__ = [
+    "TERMINAL_AGE",
     "ForecastConfig",
     "forecast_death_rate",
     "forecast_bands",
@@ -105,7 +110,7 @@ def forecast_death_rate(
 def forecast_bands(
     cell: tuple,
     years,
-    chain: McmcChain | list[ParamVector] | ParamVector,
+    chain: McmcChain | list[ParamVector],
     cfg: ForecastConfig,
     levels=(0.05, 0.5, 0.95),
     max_samples: int = 200,
@@ -114,7 +119,7 @@ def forecast_bands(
 
     For each year, every sample's count distribution enters an equal-weight
     mixture whose quantiles, divided by the frozen exposure, form the band.
-    A single parameter vector, such as ``chain.mean_param_vector()``, gives
+    A one-element list, such as ``[chain.mean_param_vector()]``, gives
     plain engine bands without parameter uncertainty.
     """
     samples = posterior_draws(chain, max_samples)
@@ -140,24 +145,22 @@ def _q_resolver(params):
     raise TypeError("params must be TrendParams or a callable q(age, gender, year)")
 
 
-def life_expectancy(age: int, gender, year: int, params, terminal_age: int = 121) -> float:
+def life_expectancy(age: int, gender, year: int, params) -> float:
     """Expected curtate future lifetime at the given age and calendar year.
 
     Sums the survival probabilities k_p = prod_{j<k} (1 - q(age+j, year+j)),
     walking the trend family forward in both age and calendar time so
     mortality improvement is priced in.  The table is closed by q = 1 at
-    ``terminal_age``, so the series terminates exactly.
+    :data:`TERMINAL_AGE`, so the series terminates exactly.
     """
     gi = gender if gender in (0, 1) else ("f", "m").index(gender)
     q_fn = _q_resolver(params)
     e = 0.0
     surv = 1.0
     j = 0
-    # terminal_age zeroes the survival product exactly; the hard cap only
-    # guards against a caller disabling closure altogether.
-    while surv > 0.0 and j <= max(terminal_age - age, 0) + 1:
+    while surv > 0.0:
         current = age + j
-        q = 1.0 if current >= terminal_age else min(max(float(q_fn(current, gi, year + j)), 0.0), 1.0)
+        q = 1.0 if current >= TERMINAL_AGE else min(max(float(q_fn(current, gi, year + j)), 0.0), 1.0)
         surv *= 1.0 - q
         e += surv
         j += 1

@@ -32,7 +32,7 @@ from .aggregation import (
 from .domain import Portfolio, RiskFactorSpec
 from .errors import DataError, NumericalError
 from .estimation import McmcChain, ParamVector, posterior_draws, posterior_mean
-from .forecast import _q_resolver
+from .forecast import TERMINAL_AGE, _q_resolver
 
 __all__ = [
     "Scenario",
@@ -149,7 +149,6 @@ def term_life_bel(
     term_years: int,
     curve: DiscountCurve,
     params,
-    terminal_age: int = 121,
 ) -> float:
     """Best-estimate liability of a unit term-life benefit paid at the end
     of the year of death within ``term_years`` + 1 years:
@@ -157,9 +156,9 @@ def term_life_bel(
         A = D(1) q(T) + sum_{t=1..d} D(t+1) * t_p * q(age+t, T+t).
 
     ``params`` is a TrendParams or a callable q(age, gender, year).  The
-    table is closed with q = 1 at ``terminal_age``, matching the life
-    expectancy convention, so an undiscounted whole-life value telescopes
-    to one.
+    table is closed with q = 1 at :data:`~ecrplus.forecast.TERMINAL_AGE`,
+    as life expectancies are, so an undiscounted whole-life value
+    telescopes to one.
     """
     if term_years < 0:
         raise ValueError("term must be >= 0 years")
@@ -167,7 +166,7 @@ def term_life_bel(
     q_fn = _q_resolver(params)
 
     def q_at(a, t):
-        return 1.0 if a >= terminal_age else float(q_fn(a, gi, t))
+        return 1.0 if a >= TERMINAL_AGE else float(q_fn(a, gi, t))
 
     q0 = q_at(age, year)
     value = curve.discount(1) * q0

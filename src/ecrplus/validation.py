@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special, stats
 
 from .domain import CohortPanel
-from .errors import DataError
+from .errors import DataError, DegenerateEstimateError, NumericalError
 from .estimation import McmcChain, ParamVector, _rho_grid, map_sigma, mom_transform, posterior_draws
 
 __all__ = [
@@ -106,26 +106,26 @@ def moment_bounds_test(
 
     transformed = mom_transform(panel, params)
     obs = transformed.deaths.astype(float)
-    A, G, K1 = obs.shape[1:]
+    T, A, G, K1 = obs.shape
     obs_var = obs.var(axis=0, ddof=1)
 
+    # Same-cause covariances of every cell pair i < j, cells numbered a * G + g.
     cells = [(a, g) for a in range(A) for g in range(G)]
-    pairs = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
+    iu, ju = np.triu_indices(len(cells), k=1)
+
+    def pair_covariances(panel_counts):
+        c = (panel_counts - panel_counts.mean(axis=0)).reshape(T, A * G, K1)
+        return (c[:, iu] * c[:, ju]).sum(axis=0) / (T - 1)
 
     rng = np.random.default_rng(seed)
     var_draws = np.empty((n_draws, A, G, K1))
-    cov_draws = np.empty((n_draws, len(pairs), K1))
+    cov_draws = np.empty((n_draws, iu.size, K1))
     for d in range(n_draws):
         pv = samples[d % len(samples)]
         rho_T, _, s2 = transformed_moments(panel, pv)
-        sim = _simulate_transformed(rng, rho_T, s2, panel.n_years)
+        sim = _simulate_transformed(rng, rho_T, s2, T)
         var_draws[d] = sim.var(axis=0, ddof=1)
-        centred = sim - sim.mean(axis=0)
-        for pi, (i, j) in enumerate(pairs):
-            (a1, g1), (a2, g2) = cells[i], cells[j]
-            cov_draws[d, pi] = (centred[:, a1, g1, :] * centred[:, a2, g2, :]).sum(
-                axis=0
-            ) / (panel.n_years - 1)
+        cov_draws[d] = pair_covariances(sim)
 
     lo_q, hi_q = level / 2.0, 1.0 - level / 2.0
     stats_list = []
@@ -146,22 +146,18 @@ def moment_bounds_test(
                         "accepted": inside,
                     }
                 )
-    centred_obs = obs - obs.mean(axis=0)
-    for pi, (i, j) in enumerate(pairs):
-        (a1, g1), (a2, g2) = cells[i], cells[j]
-        obs_cov = (centred_obs[:, a1, g1, :] * centred_obs[:, a2, g2, :]).sum(axis=0) / (
-            panel.n_years - 1
-        )
+    obs_cov = pair_covariances(obs)
+    for pi, (i, j) in enumerate(zip(iu, ju)):
         for k in range(K1):
             lo = float(np.quantile(cov_draws[:, pi, k], lo_q))
             hi = float(np.quantile(cov_draws[:, pi, k], hi_q))
-            inside = bool(lo <= obs_cov[k] <= hi)
+            inside = bool(lo <= obs_cov[pi, k] <= hi)
             n_in += inside
             stats_list.append(
                 {
                     "kind": "cov",
                     "cell": (cells[i], cells[j], k),
-                    "observed": float(obs_cov[k]),
+                    "observed": float(obs_cov[pi, k]),
                     "band": (lo, hi),
                     "accepted": inside,
                 }
@@ -323,6 +319,7 @@ def ks_gamma_test(
     p_asymp = float(special.kolmogorov(math.sqrt(n) * d_obs))
 
     p_boot = None
+    fallbacks = 0
     if n_boot > 0:
         rng = np.random.default_rng(seed)
         exceed = 0
@@ -330,7 +327,9 @@ def ks_gamma_test(
             resample = rng.gamma(shape, sigma_sq, size=n)
             try:
                 s_hat = map_sigma(resample) ** 2
-            except Exception:
+            except (DegenerateEstimateError, NumericalError):
+                # No mode: fall back to the moment estimate, and count it.
+                fallbacks += 1
                 s_hat = float(np.mean((resample - 1.0) ** 2))
             s_hat = max(s_hat, 1e-12)
             d_b = stat(resample, 1.0 / s_hat, s_hat)
@@ -350,5 +349,5 @@ def ks_gamma_test(
             }
         ],
         accepted_fraction=float(acc),
-        extras={"n": n, "sigma_sq": sigma_sq},
+        extras={"n": n, "sigma_sq": sigma_sq, "sigma_fallbacks": fallbacks},
     )

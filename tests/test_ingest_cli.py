@@ -7,7 +7,7 @@ import pytest
 
 from ecrplus.cli import main, params_from_dict, params_to_dict
 from ecrplus.errors import DataError
-from ecrplus.estimation import ParamVector
+from ecrplus.estimation import McmcChain, ParamVector
 from ecrplus.ingest import IngestSpec, ingest, write_panel
 
 from conftest import flat_trends, realistic_trends, simulate_panel
@@ -247,6 +247,19 @@ class TestCli:
         assert main(["aggregate", "-c", str(tmp_path / "missing.ini"), "-o", str(tmp_path)]) == 2
         assert main(["no-such-command"]) == 1
 
+    def test_damaged_params_file_is_a_data_error(self, cli_workspace):
+        ws = str(cli_workspace)
+        cfg = os.path.join(ws, "ecrplus.ini")
+        out = os.path.join(ws, "out")
+        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+        with open(os.path.join(out, "params_mom.json")) as fh:
+            params = json.load(fh)
+        del params["beta"]
+        damaged = os.path.join(ws, "damaged.json")
+        with open(damaged, "w") as fh:
+            json.dump(params, fh)
+        assert main(["life-table", "-c", cfg, "-o", out, "--params", damaged]) == 2
+
     def test_mcmc_resume_after_interruption(self, cli_workspace):
         ws = str(cli_workspace)
         cfg = os.path.join(ws, "ecrplus.ini")
@@ -268,6 +281,12 @@ def _damage_chain(text: str, damage: str) -> str:
         return "".join(lines[:2])
     if damage == "torn":
         return text[:-7]
+    if damage == "renamed":  # a chain of other free blocks, same field count
+        lines[1] = lines[1].replace("alpha.f[0]", "zeta.f[0]")
+        return "".join(lines)
+    if damage == "columns":  # the column row names one field more than any record
+        lines[1] = lines[1].rstrip("\n") + ",extra[0]\n"
+        return "".join(lines)
     last = lines[-1].rstrip("\n").split(",")
     if damage == "short":
         last = last[:-1]
@@ -277,7 +296,9 @@ def _damage_chain(text: str, damage: str) -> str:
 
 
 class TestChainFiles:
-    @pytest.mark.parametrize("damage", ["header-only", "torn", "short", "unparsable"])
+    @pytest.mark.parametrize(
+        "damage", ["header-only", "torn", "short", "unparsable", "renamed", "columns"]
+    )
     def test_damaged_chain_is_a_data_error(self, cli_workspace, damage):
         ws = str(cli_workspace)
         cfg = os.path.join(ws, "ecrplus.ini")
@@ -292,6 +313,33 @@ class TestChainFiles:
             fh.write(_damage_chain(text, damage))
         argv = ["forecast", "-c", cfg, "-o", out, "--params", params, "--chain", damaged]
         assert main(argv) == 2
+
+    def test_forecast_builds_only_the_draws_it_uses(self, cli_workspace, monkeypatch):
+        ws = str(cli_workspace)
+        cfg = os.path.join(ws, "ecrplus.ini")
+        out = os.path.join(ws, "out")
+        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+        params = os.path.join(out, "params_mom.json")
+        assert main(["fit-mcmc", "-c", cfg, "-o", out, "--params", params]) == 0
+        with open(os.path.join(out, "chain_0.csv")) as fh:
+            lines = fh.readlines()
+        n_records, max_samples = 3000, 5  # max_samples as in the workspace config
+        records = lines[2:] * (n_records // len(lines[2:]) + 1)
+        long_chain = os.path.join(ws, "long.csv")
+        with open(long_chain, "w") as fh:
+            fh.writelines(lines[:2] + records[:n_records])
+        built = []
+        original = McmcChain.param_vector
+
+        def counting(self, i):
+            built.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(McmcChain, "param_vector", counting)
+        argv = ["forecast", "-c", cfg, "-o", out, "--params", params, "--chain", long_chain]
+        assert main(argv) == 0
+        assert 0 < len(built) <= max_samples
+        assert built[0] == 0 and built[-1] == n_records - 1
 
     def test_resume_with_other_settings_is_a_data_error(self, cli_workspace):
         ws = str(cli_workspace)

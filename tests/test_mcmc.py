@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecrplus.errors import NumericalError
 from ecrplus.estimation import (
@@ -186,3 +189,44 @@ class TestChainSummaries:
         out = cv_prior_scale(panel, template, grid=[0.0, 10.0])
         assert set(out["scores"]) == {0.0, 10.0}
         assert out["best_c"] in (0.0, 10.0)
+
+
+@pytest.fixture(scope="module")
+def record_layout(tmp_path_factory):
+    """Template, header and column row of a record file from mcmc_sample."""
+    panel, tr = _k0_panel(np.random.default_rng(0), T=3, m=1000)
+    init = ParamVector(trends=tr, sigma2=np.zeros(0))
+    path = str(tmp_path_factory.mktemp("layout") / "chain.csv")
+    mcmc_sample(panel, init, PriorSpec(),
+                McmcConfig(n_steps=2, burn_in=1, seed=0, record_path=path))
+    with open(path) as fh:
+        return init, fh.readlines()[:2], path
+
+
+# Every finite float64, with -0.0 and the subnormal and extreme values drawn often.
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, -1.7976931348623157e308]),
+)
+
+
+class TestChainRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_records_round_trip_bit_exactly(self, record_layout, data):
+        # Resume and load_chain read back what mcmc_sample wrote as %.17g.
+        init, head, path = record_layout
+        columns = head[1].strip().split(",")
+        n_fields = len(columns) - 1  # every column but the step
+        n_params = len(columns) - 2 - sum(c.startswith("scale.") for c in columns)
+        values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 5)), n_fields),
+                                      elements=_FINITE))
+        with open(path, "w") as fh:
+            fh.writelines(head)
+            for i, row in enumerate(values):
+                fh.write(",".join([str(1 + i)] + [f"{x:.17g}" for x in row]) + "\n")
+        chain = load_chain(path, template=init)
+        np.testing.assert_array_equal(chain.log_posterior.view(np.uint64),
+                                      values[:, 0].view(np.uint64))
+        np.testing.assert_array_equal(chain.samples.view(np.uint64),
+                                      values[:, n_fields - n_params:].view(np.uint64))

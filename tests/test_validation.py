@@ -3,7 +3,14 @@ import pytest
 
 from ecrplus.domain import CohortPanel
 from ecrplus.errors import DataError
-from ecrplus.estimation import McmcChain, ParamVector, _flat_names, _flatten, map_risk_factor
+from ecrplus.estimation import (
+    McmcChain,
+    ParamVector,
+    _flat_names,
+    _flatten,
+    map_risk_factor,
+    mom_transform,
+)
 from ecrplus.trends import death_prob_grid
 from ecrplus.validation import (
     bg_lm_test,
@@ -57,6 +64,22 @@ class TestMomentBounds:
         panel, pv, _ = _setup(rng)
         with pytest.raises(DataError):
             moment_bounds_test(panel, pv, [])
+
+    def test_pair_covariances_match_the_cell_loop(self, rng):
+        panel, pv, _ = _setup(rng, T=6)
+        report = moment_bounds_test(panel, pv, [pv], n_draws=20)
+        counts = mom_transform(panel, pv).deaths.astype(float)
+        centred = counts - counts.mean(axis=0)
+        T, A, G, K1 = counts.shape
+        cells = [(a, g) for a in range(A) for g in range(G)]
+        expected = {}
+        for i, (a1, g1) in enumerate(cells):
+            for a2, g2 in cells[i + 1 :]:
+                cov = (centred[:, a1, g1, :] * centred[:, a2, g2, :]).sum(axis=0) / (T - 1)
+                for k in range(K1):
+                    expected[((a1, g1), (a2, g2), k)] = cov[k]
+        observed = {s["cell"]: s["observed"] for s in report.statistics if s["kind"] == "cov"}
+        assert observed == expected
 
     def test_long_chain_builds_only_the_draws_it_uses(self, rng, monkeypatch):
         panel, pv, _ = _setup(rng, T=5)
