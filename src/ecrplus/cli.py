@@ -443,8 +443,13 @@ def cmd_forecast(args) -> int:
     horizon = int(sec["horizon"])
     d = float(sec.get("d", "0"))
     levels = _floats(sec.get("levels", "0.05,0.5,0.95"))
+    if base_year not in panel.years:
+        raise DataError(
+            f"[forecast] base_year {base_year} is not a panel year "
+            f"({int(panel.years[0])}-{int(panel.years[-1])}); its exposures are unknown"
+        )
+    ti = list(panel.years).index(base_year)
     population = {}
-    ti = list(panel.years).index(base_year) if base_year in panel.years else -1
     for a in range(panel.n_age_groups):
         for gi in range(2):
             population[(a, gi)] = int(panel.exposure[ti, a, gi])

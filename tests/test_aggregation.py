@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from ecrplus import aggregation
 from ecrplus.aggregation import (
     LossDistribution,
     NegBinCount,
@@ -171,6 +174,135 @@ class TestPanjerCompound:
         assert mean == pytest.approx(3000.0, rel=1e-9)
 
 
+@st.composite
+def _count_laws(draw, max_nb_mean=900.0, min_r=0.5):
+    # Means from 0.5 up to intensities whose recursion climbs past the
+    # rescale threshold (Poisson lambda > ~580; negative binomial with
+    # r log(1 + mean / r) > ~580).
+    if draw(st.booleans()):
+        return PoissonCount(draw(st.floats(0.5, 900.0)))
+    mean = draw(st.floats(0.5, max_nb_mean))
+    r = draw(st.floats(min_r, 3000.0))
+    return NegBinCount(r=r, p=r / (r + mean))
+
+
+def _atom_probs(min_size, max_size=30):
+    return st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=min_size, max_size=max_size
+    )
+
+
+def _severity(p0, probs, first=1, step=1):
+    """Severity with mass p0 at 0 and probs[i] at (first + i) * step."""
+    pmf = {(first + i) * step: w for i, w in enumerate(probs) if w > 0.0}
+    if p0 > 0.0:
+        pmf[0] = p0
+    total = sum(pmf.values())
+    return LatticeSeverity(unit=1.0, pmf={k: w / total for k, w in pmf.items()})
+
+
+class TestPanjerProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p0=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+        first=st.floats(0.01, 1.0),
+        middle=_atom_probs(0),
+        last=st.floats(0.01, 1.0),
+        d=st.integers(4, 12),
+        count=_count_laws(),
+    )
+    @example(p0=0.0, first=1.0, middle=[0.0, 0.5], last=0.25, d=7, count=PoissonCount(800.0))
+    @example(p0=0.2, first=0.3, middle=[], last=0.7, d=12,
+             count=NegBinCount(r=2500.0, p=2500.0 / 3400.0))
+    def test_dilation_identity(self, p0, first, middle, last, d, count):
+        # Payments on 1..J run the per-step loop (smallest payment 1); the
+        # same payments times d run in blocks of d and must give the same
+        # law on every d-th point and exact zeros between.
+        probs = [first, *middle, last]
+        base = SectorCompound(0, count, _severity(p0, probs), count.mean())
+        dilated = SectorCompound(0, count, _severity(p0, probs, step=d), count.mean())
+        n = int(math.ceil(base.mean() + 4.0 * math.sqrt(base.var())))
+        g = panjer_compound(base, n)
+        gd = panjer_compound(dilated, d * n)
+        assert gd.pmf.size == d * n + 1
+        np.testing.assert_allclose(gd.pmf[::d], g.pmf, rtol=0.0, atol=1e-12)
+        assert not gd.pmf[np.arange(gd.pmf.size) % d != 0].any()
+        assert gd.truncation_mass == pytest.approx(g.truncation_mass, abs=1e-12)
+
+    @pytest.mark.parametrize("step", [1, 6])
+    def test_rescale_inside_the_bulk(self, step):
+        # At lambda = 581 the rescale falls where the pmf carries ~1% of the
+        # mass, so a window left at its old scale shows; step 1 runs the
+        # per-step loop, step 6 the blocks.  Reference: inverse FFT of the
+        # compound Poisson PGF exp(lambda (F - 1)).
+        lam, n_max = 581.0, 1400
+        sev = LatticeSeverity(unit=1.0, pmf={step: 0.5, 2 * step: 0.5})
+        dist = panjer_compound(SectorCompound(0, PoissonCount(lam), sev, lam), step * n_max)
+        f = np.zeros(4096)
+        f[[1, 2]] = 0.5
+        ref = np.fft.irfft(np.exp(lam * (np.fft.rfft(f) - 1.0)), 4096)[: n_max + 1]
+        np.testing.assert_allclose(dist.pmf[::step], ref, rtol=0.0, atol=1e-13)
+
+    def test_blocks_shorter_than_the_smallest_payment(self, monkeypatch):
+        # Many atoms cap the gathered block below m; any block length up
+        # to m gives the same law.
+        sev = LatticeSeverity(unit=1.0, pmf={j: 1.0 / 10 for j in range(8, 48, 4)})
+        sector = SectorCompound(0, PoissonCount(60.0), sev, 60.0)
+        whole = panjer_compound(sector, 3000)
+        monkeypatch.setattr(aggregation, "_GATHER_MAX", 30)  # blocks of 3 over 10 atoms
+        capped = panjer_compound(sector, 3000)
+        np.testing.assert_allclose(capped.pmf, whole.pmf, rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p0=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+        m=st.integers(1, 12),
+        first=st.floats(0.01, 1.0),
+        rest=_atom_probs(0, max_size=10),
+        count=_count_laws(max_nb_mean=300.0, min_r=2.0),
+    )
+    def test_mass_and_compound_mean(self, p0, m, first, rest, count):
+        # Smallest payment m from 1 to 12 covers the per-step loop (m < 4)
+        # and the block path.  S > n_max needs more than n_max / y_max
+        # claims, so a lattice of y_max times the count's 1 - 1e-14
+        # quantile leaves at most 1e-14 in the tail: the enumerated mass is
+        # one and the mean E[N] E[Y].
+        sev = _severity(p0, [first, *rest], first=m)
+        sector = SectorCompound(0, count, sev, count.mean())
+        if isinstance(count, PoissonCount):
+            claims = stats.poisson.isf(1e-14, count.lam)
+        else:
+            claims = stats.nbinom.isf(1e-14, count.r, count.p)
+        y_max = max(sev.pmf)
+        dist = panjer_compound(sector, int(claims + 1) * y_max)
+        assert np.all(dist.pmf >= 0.0)
+        assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.mean() == pytest.approx(count.mean() * sev.mean_index(), rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p0=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+        n_max=st.integers(0, 40),
+        gap=st.integers(1, 20),
+        probs=_atom_probs(1).filter(any),
+        count=_count_laws(),
+    )
+    def test_all_payments_beyond_lattice(self, p0, n_max, gap, probs, count):
+        # No payment lands on 1..n_max: only the no-claim point is
+        # enumerated, with P(S = 0) = P_N(f_0), the count law's PGF at f_0.
+        sev = _severity(p0, probs, first=n_max + gap)
+        dist = panjer_compound(SectorCompound(0, count, sev, count.mean()), n_max)
+        f0 = sev.pmf.get(0, 0.0)
+        if isinstance(count, PoissonCount):
+            p_zero = math.exp(count.lam * (f0 - 1.0))
+        else:
+            p_zero = (count.p / (1.0 - (1.0 - count.p) * f0)) ** count.r
+        assert dist.pmf.size == n_max + 1
+        assert dist.pmf[0] == pytest.approx(p_zero, rel=1e-12, abs=1e-300)
+        assert not dist.pmf[1:].any()
+        assert dist.truncation_mass == pytest.approx(1.0 - p_zero, abs=1e-12)
+
+
 class TestConvolution:
     def test_identity_with_point_mass(self):
         base = aggregate_loss(table1_portfolio(True), [], unit=1.0)
@@ -185,6 +317,38 @@ class TestConvolution:
             SectorCompound(0, PoissonCount(500.0), LatticeSeverity.point(1), 500.0), 900
         )
         assert tv_distance(combined, single) < 1e-10
+
+    def test_poisson_additivity_long_sectors(self):
+        # Both Poisson(5,000) sectors keep ~1,200 points above 1e-16 of
+        # their peak, so they are convolved through the FFT.
+        lam = 5_000.0
+        n_max = int(2 * lam + 12 * math.sqrt(2 * lam))
+        part = panjer_compound(SectorCompound(0, PoissonCount(lam), LatticeSeverity.point(1), lam), n_max)
+        assert np.count_nonzero(part.pmf > part.pmf.max() * 1e-16) > 1024
+        combined = convolve_sectors([part, part], n_max=n_max)
+        single = panjer_compound(
+            SectorCompound(0, PoissonCount(2 * lam), LatticeSeverity.point(1), 2 * lam), n_max
+        )
+        assert tv_distance(combined, single) < 1e-10
+
+    @pytest.mark.parametrize(
+        "sizes", [(300, 2000), (1023, 5000), (1024, 1024), (5000, 3000), (40, 70, 4000, 2500)]
+    )
+    def test_matches_direct_convolution(self, rng, sizes):
+        # Operands on both sides of the FFT size rule, with a far tail of
+        # tiny entries that the trim drops and the FFT must not turn negative.
+        parts = []
+        for size in sizes:
+            p = rng.gamma(2.0, size=size) * np.exp(-np.linspace(0.0, 5.0, size))
+            p[-size // 4 :] *= 1e-30
+            parts.append(LossDistribution(unit=1.0, pmf=p / p.sum()))
+        out = convolve_sectors(parts)
+        direct = parts[0].pmf
+        for d in parts[1:]:
+            direct = np.convolve(direct, d.pmf)
+        assert out.pmf.min() >= 0.0
+        assert abs(out.pmf.sum() - direct.sum()) <= 1e-12
+        assert tv_distance(out, LossDistribution(unit=1.0, pmf=direct)) <= 1e-13
 
     def test_empty_list(self):
         out = convolve_sectors([])

@@ -247,6 +247,21 @@ class TestCli:
         assert main(["aggregate", "-c", str(tmp_path / "missing.ini"), "-o", str(tmp_path)]) == 2
         assert main(["no-such-command"]) == 1
 
+    def test_forecast_base_year_outside_the_panel_is_a_data_error(self, cli_workspace):
+        ws = str(cli_workspace)
+        cfg = os.path.join(ws, "ecrplus.ini")
+        out = os.path.join(ws, "out")
+        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+        params = os.path.join(out, "params_mom.json")
+        late = os.path.join(ws, "late.ini")
+        with open(cfg) as fh:
+            text = fh.read()
+        with open(late, "w") as fh:
+            fh.write(text.replace("base_year = 2007\nhorizon = 2009",
+                                  "base_year = 2030\nhorizon = 2032"))
+        assert main(["forecast", "-c", late, "-o", out, "--params", params]) == 2
+        assert not os.path.exists(os.path.join(out, "forecast_bands.csv"))
+
     def test_damaged_params_file_is_a_data_error(self, cli_workspace):
         ws = str(cli_workspace)
         cfg = os.path.join(ws, "ecrplus.ini")

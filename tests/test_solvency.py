@@ -258,6 +258,23 @@ class TestDeltaBof:
         assert tv_distance(from_chain, from_list) == 0.0
         assert scr(from_chain) == scr(from_list)
 
+    def test_default_lattice_scr_matches_coarser_lattice(self):
+        # The default 200k-point lattice on a 50-policy term book: the
+        # recursion's window is almost all zeros, so this runs in blocks of
+        # the smallest payment.  A 20k-point lattice gives the same SCR.
+        gen = np.random.default_rng(1)
+        policies = [
+            TermPolicy(age=int(gen.integers(50, 76)), gender="fm"[int(gen.integers(2))],
+                       sum_insured=float(s), term_years=int(gen.integers(5, 21)))
+            for s in gen.uniform(20_000.0, 1_000_000.0, 50)
+        ]
+        curve = DiscountCurve.flat(0.01, 25)
+        pv = _chain_of_params(gen, 1)[0]
+        args = dict(asset_value=5e6, coupon=0.02, curve=curve, chain=[pv], base_year=2020)
+        fine = scr(delta_bof_distribution(policies, **args))
+        coarse = scr(delta_bof_distribution(policies, lattice_points=20_000, **args))
+        assert fine == pytest.approx(coarse, rel=1e-4)
+
     def test_scr_quantile_semantics(self):
         point = LossDistribution.point(42.0)
         assert scr(point) == 42.0
