@@ -15,12 +15,12 @@ explicit log scale per entry so that initial probabilities far below the
 double-precision floor (the classic g_0 = e^{-lambda} underflow) cannot
 poison it.
 
-Cost follows the useful work.  With m the smallest nonzero payment index,
-g_n reads only g_{n-j} for j >= m, so the recursion computes m values at
-a time in one gather over the nonzero atoms (from m = 4 on; below that a
-dense dot product per step is cheaper).  Sector laws are convolved
-directly below 1,024 points and through the real FFT above; the FFT's
-rounding error is about 1e-16 of the peak, the same floor below which
+Cost follows the useful work.  The recursion computes a block of values per
+numpy step: lags reaching back before the block are one gather over the
+nonzero atoms, lags inside it (only when the smallest payment index is below
+the block length) one unit lower-triangular solve.  Sector laws are
+convolved directly below 1,024 points and through the real FFT above; the
+FFT's rounding error is about 1e-16 of the peak, the same floor below which
 entries are trimmed into the tail before convolving.
 """
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
+from scipy.linalg import solve_triangular
 
 from .domain import LatticeSeverity, Portfolio, RiskFactorSpec
 from .errors import DataError, NumericalError
@@ -58,11 +59,9 @@ __all__ = [
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 
-# Blocked Panjer: blocks of the smallest payment index m are taken from
-# m = _MIN_BLOCK on (below it numpy's per-call overhead costs more than the
-# dense per-step dot product saves), with at most _GATHER_MAX gathered
-# window entries per block.
-_MIN_BLOCK = 4
+# Blocked Panjer: blocks hold _BLOCK values, or m (the smallest payment
+# index) if larger, with at most _GATHER_MAX gathered window entries.
+_BLOCK = 128
 _GATHER_MAX = 1 << 20
 
 # Convolutions whose operands both reach this length go through the FFT
@@ -355,70 +354,71 @@ def panjer_compound(sector: SectorCompound, n_max: int) -> LossDistribution:
             unit=unit, pmf=pmf, truncation_mass=max(0.0, 1.0 - mass)
         )
 
-    # g_n reads only g_{n-j} with j >= m, the smallest payment index, so m
-    # consecutive values depend on earlier ones alone and are computed as
-    # one block; the gather is capped at _GATHER_MAX entries.
+    # B values per numpy step, m the smallest payment index.  Lags reaching
+    # back before the block are one gather s[idx + n] over the nonzero atoms
+    # (the block's own entries still read zero); lags inside it, only when
+    # m < B, form the unit lower-triangular system (I - L) g = known with
+    # L[r, i] = (a + b (r-i)/(n+r)) f_{r-i}, all positive: no cancellation.
     m = int(atoms[0]) + 1
-    block = min(m, max(1, _GATHER_MAX // atoms.size)) if m >= _MIN_BLOCK else 1
+    B = max(1, min(max(m, _BLOCK), _GATHER_MAX // atoms.size))
+    j = atoms + 1
+    idx = (J - j)[None, :] + np.arange(B)[:, None]
+    coef = np.stack([a * f_pos[atoms], j * f_pos[atoms]], axis=1)
+    b_over_n = b / np.arange(1.0, n_max + B)
+    if m < B:
+        # -L = -a F - diag(b / (n + r)) (lag F) with F the Toeplitz matrix
+        # F[r, i] = f_{r-i}, zero on and above the diagonal.
+        lag = np.subtract.outer(np.arange(B), np.arange(B))
+        neg_f = -np.concatenate([[0.0], f_pos[: B - 1], np.zeros(B)])[np.maximum(lag, 0)]
+        neg_af, neg_lag_f = a * neg_f, lag * neg_f
 
-    # s[J + n] holds the rescaled g_n; the first J slots are zero padding
-    # and the last block may run past n_max.
-    s = np.zeros(J + n_max + block)
-    entry_log = np.zeros(n_max + block)
+    # s[J + n] holds g_n / (exp(log_g0) * _RESCALE ** shifts[n]); the first J
+    # slots are zero padding and the last block may run past n_max.  Integer
+    # shift counts keep the log scale free of drift over many rescales.
+    s = np.zeros(J + n_max + B)
+    shifts = np.zeros(n_max + B, dtype=np.int64)
     s[J] = 1.0
-    cur_log = log_g0
-    entry_log[0] = cur_log
+    n_shifts = 0
 
-    def rescale(n: int, peak: float) -> float:
-        # Rescale only the active window s[n : n + J], the J values every
-        # step from n on reads; older entries are never read again and
-        # keep the scale recorded at their own step.  The shift drops peak
-        # into [1, _RESCALE) without overshooting, so a climb still in
-        # progress is not pushed into underflow.
-        nonlocal cur_log
-        if math.isinf(peak):
-            raise NumericalError("Panjer recursion overflowed within one step")
-        shift = max(1, math.floor(math.log(peak) / _LOG_RESCALE))
-        factor = _RESCALE ** (-shift)
-        s[n : n + J] *= factor
-        cur_log += shift * _LOG_RESCALE
-        entry_log[max(0, n - J) : n] = cur_log
-        return factor
+    def rescale(n: int, vals: np.ndarray) -> None:
+        # Rescale the new block and the window s[n : n + J] every later block
+        # reads; older entries keep the shift recorded with them.  A finite
+        # peak above _RESCALE lands in [1, _RESCALE) after one shift.
+        nonlocal n_shifts
+        s[n : n + J] /= _RESCALE
+        vals /= _RESCALE
+        n_shifts += 1
+        shifts[max(0, n - J) : n] = n_shifts
 
-    if block == 1:
-        # Reversed coefficient vectors so each step is a contiguous dot product.
-        w1 = f_pos[::-1].copy()
-        w2 = (np.arange(1, J + 1) * f_pos)[::-1].copy()
-        for n in range(1, n_max + 1):
-            window = s[n : n + J]
-            t2 = window @ w2
-            val = a * (window @ w1) + (b / n) * t2 if a != 0.0 else (b / n) * t2
-            if val > _RESCALE:
-                val *= rescale(n, val)
-            s[J + n] = val
-            entry_log[n] = cur_log
-    else:
-        # Row r of a block starting at n gathers g_{n + r - j} over the
-        # nonzero atoms j, i.e. s[idx + n].  Every row reads the window
-        # s[n : n + J], so one shift from the block's maximum serves all.
-        j = atoms + 1
-        idx = (J - j)[None, :] + np.arange(block)[:, None]
-        coef = np.stack([a * f_pos[atoms], j * f_pos[atoms]], axis=1)
-        b_over_n = b / np.arange(1.0, n_max + block)
-        for n in range(1, n_max + 1, block):
-            t = s[idx + n] @ coef
-            vals = t[:, 0] + b_over_n[n - 1 : n - 1 + block] * t[:, 1]
-            peak = vals.max()
-            if peak > _RESCALE:
-                vals *= rescale(n, peak)
-            s[J + n : J + n + block] = vals
-            entry_log[n : n + block] = cur_log
-    s = s[: J + n_max + 1]
-    entry_log = entry_log[: n_max + 1]
-
+    n = 1
+    while n <= n_max:
+        # A block whose values overflow before its rescale (near n = 0 each
+        # step multiplies by about lambda / n) is recomputed at half width.
+        w = B
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = s[idx[:w] + n] @ coef
+                rows = b_over_n[n - 1 : n - 1 + w]
+                vals = t[:, 0] + rows * t[:, 1]
+                if m < w:
+                    lower = neg_af[:w, :w] + rows[:, None] * neg_lag_f[:w, :w]
+                    vals = solve_triangular(
+                        lower, vals, lower=True, unit_diagonal=True, check_finite=False
+                    )
+            if np.isfinite(vals).all():
+                break
+            if w == 1:
+                raise NumericalError("Panjer recursion overflowed within one step")
+            w //= 2
+        if vals.max() > _RESCALE:
+            rescale(n, vals)
+        s[J + n : J + n + w] = vals
+        shifts[n : n + w] = n_shifts
+        n += w
+    g = s[J : J + n_max + 1]
     log_g = np.full(n_max + 1, -np.inf)
-    np.log(s[J:], out=log_g, where=s[J:] > 0.0)
-    pmf = np.exp(log_g + entry_log)
+    np.log(g, out=log_g, where=g > 0.0)
+    pmf = np.exp(log_g + (log_g0 + shifts[: n_max + 1] * _LOG_RESCALE))
     mass = pmf.sum()
     if not np.isfinite(mass) or mass > 1.0 + 1e-9:
         raise NumericalError(f"Panjer recursion produced total mass {mass}")

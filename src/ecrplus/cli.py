@@ -51,8 +51,23 @@ def load_config(path: str) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
     cfg = configparser.ConfigParser()
-    cfg.read(path)
+    try:
+        cfg.read(path)
+    except configparser.Error as exc:
+        raise DataError(f"{path}: bad config file ({exc})") from None
+    cfg.path = path
     return cfg
+
+
+def _section(cfg: configparser.ConfigParser, name: str, *keys: str) -> configparser.SectionProxy:
+    """Config section ``name``, which must exist and hold every key in ``keys``."""
+    if not cfg.has_section(name):
+        raise DataError(f"{cfg.path}: config needs a [{name}] section")
+    sec = cfg[name]
+    for key in keys:
+        if not sec.get(key):
+            raise DataError(f"{cfg.path}: [{name}] needs a {key} entry")
+    return sec
 
 
 def trends_from_config(cfg: configparser.ConfigParser, n_causes: int) -> TrendParams:
@@ -129,9 +144,7 @@ def save_params(params: estimation.ParamVector, path: str):
 
 
 def panel_from_config(cfg: configparser.ConfigParser) -> ingest.CohortPanel:
-    if not cfg.has_section("data"):
-        raise DataError("config needs a [data] section with population/deaths paths")
-    sec = cfg["data"]
+    sec = _section(cfg, "data", "population", "deaths")
     merge = {}
     for pair in sec.get("merge", "").split(","):
         if ":" in pair:
@@ -290,7 +303,7 @@ def cmd_benchmark(args) -> int:
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
     rf = risk_factors_from_config(cfg)
-    sec = cfg["aggregate"]
+    sec = _section(cfg, "aggregate", "portfolio")
     unit = float(sec.get("unit", "1.0"))
     year = float(sec.get("year", sec.get("t0", "1987")))
     params = load_params(args.params) if args.params else None
@@ -438,7 +451,7 @@ def cmd_forecast(args) -> int:
     cfg = load_config(args.config)
     panel = panel_from_config(cfg)
     params = load_params(args.params)
-    sec = cfg["forecast"]
+    sec = _section(cfg, "forecast", "horizon")
     base_year = int(sec.get("base_year", str(int(panel.years[-1]))))
     horizon = int(sec["horizon"])
     d = float(sec.get("d", "0"))
@@ -496,7 +509,7 @@ def cmd_life_table(args) -> int:
 def cmd_scenario(args) -> int:
     cfg = load_config(args.config)
     rf = risk_factors_from_config(cfg)
-    sec = cfg["scenario"]
+    sec = _section(cfg, "scenario", "portfolio")
     unit = float(sec.get("unit", "1.0"))
     year = float(sec.get("year", "1987"))
     params = load_params(args.params) if args.params else None
@@ -529,7 +542,7 @@ def cmd_scenario(args) -> int:
 
 def cmd_scr(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg["scr"]
+    sec = _section(cfg, "scr", "policies")
     policies = []
     with open(sec["policies"], newline="") as fh:
         reader = csv.DictReader(fh)

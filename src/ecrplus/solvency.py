@@ -194,6 +194,10 @@ class TermPolicy:
             raise ValueError("sum insured must be positive")
         if self.term_years < 1:
             raise ValueError("term must cover at least the coming year")
+        if self.gender not in ("f", "m"):
+            raise ValueError(f"gender must be 'f' or 'm', not {self.gender!r}")
+        if not 0 <= self.age < TERMINAL_AGE:
+            raise ValueError(f"age {self.age} outside [0, {TERMINAL_AGE})")
 
 
 def delta_bof_distribution(

@@ -2,6 +2,7 @@
 PASS/FAIL line with the measured figure next to its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+Criterion 6b is marked ``slow`` (minutes); ``-m "not slow"`` skips it.
 """
 
 import math
@@ -10,6 +11,7 @@ import re
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from ecrplus.aggregation import (
@@ -268,6 +270,7 @@ class TestCriterion6:
             f"sigma^2 rel err {s2_err:.3f} (<= 0.25), runtime {elapsed:.0f} s",
         )
 
+    @pytest.mark.slow
     def test_mcmc_interval_coverage(self):
         t0 = time.perf_counter()
         fixed = frozenset({"zeta", "eta", "kappa", "phi", "psi", "u", "v"})

@@ -215,9 +215,9 @@ class TestPanjerProperties:
     @example(p0=0.2, first=0.3, middle=[], last=0.7, d=12,
              count=NegBinCount(r=2500.0, p=2500.0 / 3400.0))
     def test_dilation_identity(self, p0, first, middle, last, d, count):
-        # Payments on 1..J run the per-step loop (smallest payment 1); the
-        # same payments times d run in blocks of d and must give the same
-        # law on every d-th point and exact zeros between.
+        # Payments on 1..J (smallest payment 1) solve for most of each block
+        # inside it; the same payments times d must give the same law on
+        # every d-th point and exact zeros between.
         probs = [first, *middle, last]
         base = SectorCompound(0, count, _severity(p0, probs), count.mean())
         dilated = SectorCompound(0, count, _severity(p0, probs, step=d), count.mean())
@@ -229,12 +229,13 @@ class TestPanjerProperties:
         assert not gd.pmf[np.arange(gd.pmf.size) % d != 0].any()
         assert gd.truncation_mass == pytest.approx(g.truncation_mass, abs=1e-12)
 
-    @pytest.mark.parametrize("step", [1, 6])
+    @pytest.mark.parametrize("step", [1, 2, 3, 6, 130])
     def test_rescale_inside_the_bulk(self, step):
         # At lambda = 581 the rescale falls where the pmf carries ~1% of the
-        # mass, so a window left at its old scale shows; step 1 runs the
-        # per-step loop, step 6 the blocks.  Reference: inverse FFT of the
-        # compound Poisson PGF exp(lambda (F - 1)).
+        # mass, so a window left at its old scale shows.  Steps below the
+        # block length solve the lags inside each block; step 130 has
+        # none.  Reference: inverse FFT of the compound Poisson PGF
+        # exp(lambda (F - 1)).
         lam, n_max = 581.0, 1400
         sev = LatticeSeverity(unit=1.0, pmf={step: 0.5, 2 * step: 0.5})
         dist = panjer_compound(SectorCompound(0, PoissonCount(lam), sev, lam), step * n_max)
@@ -242,6 +243,18 @@ class TestPanjerProperties:
         f[[1, 2]] = 0.5
         ref = np.fft.irfft(np.exp(lam * (np.fft.rfft(f) - 1.0)), 4096)[: n_max + 1]
         np.testing.assert_allclose(dist.pmf[::step], ref, rtol=0.0, atol=1e-13)
+
+    def test_huge_intensity_keeps_its_mass(self):
+        # Poisson(2e6) takes ~3,500 rescales, so a log scale summed in
+        # floating point drifts; near n = 0 each step multiplies by about
+        # lambda / n, so whole blocks overflow and are recomputed at half
+        # width.
+        lam = 2e6
+        sev = LatticeSeverity(unit=1.0, pmf={1: 0.9, 3: 0.1})
+        sector = SectorCompound(0, PoissonCount(lam), sev, lam)
+        dist = panjer_compound(sector, int(math.ceil(sector.mean() + 12.0 * math.sqrt(sector.var()))))
+        assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-9)
+        assert dist.mean() == pytest.approx(sector.mean(), rel=1e-9)
 
     def test_blocks_shorter_than_the_smallest_payment(self, monkeypatch):
         # Many atoms cap the gathered block below m; any block length up
@@ -262,8 +275,8 @@ class TestPanjerProperties:
         count=_count_laws(max_nb_mean=300.0, min_r=2.0),
     )
     def test_mass_and_compound_mean(self, p0, m, first, rest, count):
-        # Smallest payment m from 1 to 12 covers the per-step loop (m < 4)
-        # and the block path.  S > n_max needs more than n_max / y_max
+        # Smallest payment m from 1 to 12, with lags inside every block.
+        # S > n_max needs more than n_max / y_max
         # claims, so a lattice of y_max times the count's 1 - 1e-14
         # quantile leaves at most 1e-14 in the tail: the enumerated mass is
         # one and the mean E[N] E[Y].

@@ -247,6 +247,52 @@ class TestCli:
         assert main(["aggregate", "-c", str(tmp_path / "missing.ini"), "-o", str(tmp_path)]) == 2
         assert main(["no-such-command"]) == 1
 
+    def test_config_without_section_header_is_a_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("portfolio = portfolio.csv\n")
+        assert main(["aggregate", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section", [
+        ("aggregate", "aggregate"), ("scenario", "scenario"), ("scr", "scr"),
+    ])
+    def test_missing_config_section_is_a_data_error(self, cli_workspace, capsys, command, section):
+        cfg = cli_workspace / "ecrplus.ini"
+        text = cfg.read_text()
+        start = text.index(f"[{section}]")
+        end = text.find("\n[", start)
+        cfg.write_text(text[:start] + (text[end + 1 :] if end >= 0 else ""))
+        assert main([command, "-c", str(cfg), "-o", str(cli_workspace / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"[{section}]" in err
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("aggregate", "aggregate", "portfolio"), ("scr", "scr", "policies"),
+        ("fit-mom", "data", "population"),
+    ])
+    def test_missing_config_key_is_a_data_error(self, cli_workspace, capsys, command, section, key):
+        cfg = cli_workspace / "ecrplus.ini"
+        text = cfg.read_text()
+        start = text.index(f"[{section}]")
+        line = text.index(f"{key} = ", start)
+        cfg.write_text(text[:line] + text[text.index("\n", line) + 1 :])
+        assert main([command, "-c", str(cfg), "-o", str(cli_workspace / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [[55, "x", 1000, 10], [130, "f", 1000, 10]])
+    def test_bad_policy_row_is_a_data_error(self, cli_workspace, capsys, row):
+        ws = str(cli_workspace)
+        cfg = os.path.join(ws, "ecrplus.ini")
+        out = os.path.join(ws, "out")
+        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+        policies = os.path.join(ws, "policies.csv")
+        _write_csv(policies, ["age", "gender", "sum_insured", "term_years"],
+                   [[60, "m", 2000, 5], row])
+        params = os.path.join(out, "params_mom.json")
+        assert main(["scr", "-c", cfg, "-o", out, "--params", params]) == 2
+        assert f"{policies}:3" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "scr.json"))
+
     def test_forecast_base_year_outside_the_panel_is_a_data_error(self, cli_workspace):
         ws = str(cli_workspace)
         cfg = os.path.join(ws, "ecrplus.ini")
