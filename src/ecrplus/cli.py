@@ -15,13 +15,14 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import aggregation, estimation, forecast, ingest, mc_oracle, solvency, validation
+from . import aggregation, domain, estimation, forecast, ingest, mc_oracle, solvency, validation
 from .domain import CellSpec, LatticeSeverity, Policyholder, Portfolio, RiskFactorSpec
 from .errors import DataError, DegenerateEstimateError, EcrplusError, NumericalError
 from .trends import TrendParams
@@ -39,58 +40,142 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Config and parameter (de)serialisation
+# Config file, parameter and CSV (de)serialisation
 # ---------------------------------------------------------------------------
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.replace(";", ",").split(",") if x.strip()]
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _list(parse):
+    """Comma- or semicolon-separated values, each read by ``parse``."""
+    return lambda text: [parse(x.strip()) for x in text.replace(";", ",").split(",") if x.strip()]
+
+
+def _pairs(parse_key, parse_value):
+    """Comma-separated ``key:value`` pairs, as a dict."""
+    return lambda text: {
+        parse_key(k.strip()): parse_value(v.strip())
+        for k, v in (p.split(":", 1) for p in text.split(",") if p.strip())
+    }
+
+
+# Range checks: (predicate, what a value must be).
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_AGE = (lambda v: 0 <= v < forecast.TERMINAL_AGE, f"an age in [0, {forecast.TERMINAL_AGE})")
+_INCREASING = (lambda v: v and all(a < b for a, b in zip(v, v[1:])), "increasing ages")
+_LEVELS = (lambda v: v and all(0 < x < 1 for x in v), "one or more levels in (0, 1)")
+_FACTORS = (lambda v: all(k >= 1 and lam > 0 for k, lam in v.items()), "causes >= 1, factors > 0")
+_LIKELIHOOD = (lambda v: v in ("poisson", "bernoulli"), "poisson or bernoulli")
+_REQUIRED = object()
+_PRIOR = {  # [prior] <family>.c, <family>.epsilon and <family>.order
+    "c": (_finite, 0.0, _NON_NEGATIVE), "epsilon": (_finite, 0.0, _NON_NEGATIVE),
+    "order": (int, 1, (lambda v: v in (1, 2, 3), "1, 2 or 3")),
+}
+_BOOK = {  # [aggregate] and [scenario]
+    "portfolio": (str, _REQUIRED, None), "unit": (_finite, 1.0, _POSITIVE),
+    "year": (_finite, None, None),
+}
+
+# Every config key: section -> key -> (parser, default or _REQUIRED, range
+# check or None).  An empty value counts as absent.
+CONFIG = {
+    "data": {
+        "population": (str, _REQUIRED, None), "deaths": (str, _REQUIRED, None),
+        "factors": (str, None, None), "age_groups": (_list(str), (), None),
+        "merge": (_pairs(str, str), {}, None), "year_min": (int, None, None),
+        "year_max": (int, None, None), "idiosyncratic": (str, "idiosyncratic", None),
+    },
+    "trends": {
+        "t0": (_finite, 1987.0, None),
+        "age_lower_bounds": (_list(_finite), tuple(range(50, 90, 5)), _INCREASING),
+        "eta": (_finite, 1.0 / 150.0, _POSITIVE), "zeta": (_finite, 0.0, None),
+        "psi": (_finite, 1.0 / 150.0, _POSITIVE), "phi": (_finite, 0.0, None),
+    },
+    "model": {"sigma2": (_list(_finite), (), (lambda v: all(x > 0 for x in v), "variances > 0"))},
+    "mcmc": {
+        "steps": (int, 40_000, _POSITIVE), "burn_in": (int, 10_000, _NON_NEGATIVE),
+        "chains": (int, 1, _POSITIVE), "seed": (int, 0, _NON_NEGATIVE),
+        "scale": (_finite, 0.05, _POSITIVE), "likelihood": (str, "poisson", _LIKELIHOOD),
+    },
+    "prior": {f"{fam}.{attr}": e for fam in estimation.FAMILIES for attr, e in _PRIOR.items()},
+    "aggregate": _BOOK,
+    "scenario": {**_BOOK, "factors": (_pairs(int, _finite), {}, _FACTORS)},
+    "scr": {
+        "policies": (str, _REQUIRED, None), "asset_value": (_finite, 0.0, None),
+        "coupon": (_finite, 0.0, None), "rate": (_finite, 0.0, _NON_NEGATIVE),
+        "base_year": (int, None, None), "unit": (_finite, None, _POSITIVE),
+    },
+    "forecast": {
+        "horizon": (int, _REQUIRED, None), "base_year": (int, None, None),
+        "d": (_finite, 0.0, _NON_NEGATIVE), "levels": (_list(_finite), (0.05, 0.5, 0.95), _LEVELS),
+        "max_samples": (int, 50, _POSITIVE),
+    },
+    "life_table": {
+        "year": (int, None, None), "age_min": (int, 0, _AGE), "age_max": (int, 110, _AGE),
+    },
+}
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
-        cfg.read(path)
-    except configparser.Error as exc:
+        cfg.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: bad config file ({exc})") from None
     cfg.path = path
+    unknown = [s for s in cfg.sections() if s not in CONFIG] + ["DEFAULT"] * bool(cfg.defaults())
+    if unknown:
+        raise DataError(f"{path}: unknown section [{unknown[0]}] (known: {', '.join(CONFIG)})")
     return cfg
 
 
-def _section(cfg: configparser.ConfigParser, name: str, *keys: str) -> configparser.SectionProxy:
-    """Config section ``name``, which must exist and hold every key in ``keys``."""
-    if not cfg.has_section(name):
-        raise DataError(f"{cfg.path}: config needs a [{name}] section")
-    sec = cfg[name]
-    for key in keys:
-        if not sec.get(key):
-            raise DataError(f"{cfg.path}: [{name}] needs a {key} entry")
-    return sec
+def config(cfg: configparser.ConfigParser, section: str, **flags) -> dict:
+    """Every key of ``section`` in :data:`CONFIG`, parsed, defaulted and range-checked; a
+    flag that is not None replaces the key's value.  A missing required section or key, an
+    unknown key, an unparsable value or one out of range is a DataError naming them."""
+    table = CONFIG[section]
+    if not cfg.has_section(section) and any(e[1] is _REQUIRED for e in table.values()):
+        raise DataError(f"{cfg.path}: config needs a [{section}] section")
+    raw = dict(cfg[section]) if cfg.has_section(section) else {}
+    unknown = sorted(raw.keys() - table.keys())
+    if unknown:
+        raise DataError(f"{cfg.path}: [{section}] {unknown[0]} = {raw[unknown[0]]}: unknown key")
+    out = {}
+    for key, (parse, default, check) in table.items():
+        where = f"{cfg.path}: [{section}] {key} = {raw.get(key)}"
+        if flags.get(key) is not None:
+            value, where = flags[key], f"--{key.replace('_', '-')} {flags[key]}"
+        elif raw.get(key):
+            try:
+                value = parse(raw[key])
+            except ValueError as exc:
+                raise DataError(f"{where}: cannot be read ({exc})") from None
+        elif default is _REQUIRED:
+            raise DataError(f"{cfg.path}: [{section}] needs a {key} entry")
+        else:
+            out[key] = default
+            continue
+        if check and not check[0](value):
+            raise DataError(f"{where}: must be {check[1]}")
+        out[key] = value
+    return out
 
 
 def trends_from_config(cfg: configparser.ConfigParser, n_causes: int) -> TrendParams:
     """Template trend parameters (alpha, beta, u, v zeroed) from [trends]."""
-    sec = cfg["trends"] if cfg.has_section("trends") else {}
-    bounds = _floats(sec.get("age_lower_bounds", "50,55,60,65,70,75,80,85"))
-    A = len(bounds)
-    t0 = float(sec.get("t0", "1987"))
-    eta = float(sec.get("eta", str(1.0 / 150.0)))
-    zeta = float(sec.get("zeta", "0"))
-    psi = float(sec.get("psi", str(1.0 / 150.0)))
-    phi = float(sec.get("phi", "0"))
-    return TrendParams(
-        alpha=np.zeros((A, 2)),
-        beta=np.zeros((A, 2)),
-        zeta=np.full((A, 2), zeta),
-        eta=np.full((A, 2), eta),
-        u=np.zeros((A, 2, n_causes)),
-        v=np.zeros((A, 2, n_causes)),
-        phi=np.full(n_causes, phi),
-        psi=np.full(n_causes, psi),
-        t0=t0,
-        age_lower_bounds=np.array(bounds),
+    sec = config(cfg, "trends")
+    A = len(sec["age_lower_bounds"])
+    return TrendParams(  # beta, zeta, eta, v, phi and psi broadcast to their shapes
+        alpha=np.zeros((A, 2)), beta=0.0, zeta=sec["zeta"], eta=sec["eta"],
+        u=np.zeros((A, 2, n_causes)), v=0.0, phi=sec["phi"], psi=sec["psi"],
+        t0=sec["t0"], age_lower_bounds=np.array(sec["age_lower_bounds"]),
     )
 
 
@@ -122,13 +207,22 @@ def params_from_dict(d: dict) -> estimation.ParamVector:
 
 
 def load_params(path: str) -> estimation.ParamVector:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"parameter file not found: {path}")
     with open(path) as fh:
         try:
             return params_from_dict(json.load(fh))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: damaged parameter file ({exc!r})") from None
+
+
+def _panel_params(args, panel: ingest.CohortPanel) -> estimation.ParamVector:
+    """The ``--params`` file, which must have the panel's age groups and causes."""
+    params = load_params(args.params)
+    shape = (params.trends.n_age_groups, params.trends.n_causes)
+    if shape != (panel.n_age_groups, panel.n_causes):
+        raise DataError(f"{args.params}: (age groups, causes) {shape} do not match the panel's")
+    return params
 
 
 def _posterior_sample(args, params: estimation.ParamVector):
@@ -138,64 +232,53 @@ def _posterior_sample(args, params: estimation.ParamVector):
 
 
 def save_params(params: estimation.ParamVector, path: str):
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(params), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(params_to_dict(params), path)
 
 
 def panel_from_config(cfg: configparser.ConfigParser) -> ingest.CohortPanel:
-    sec = _section(cfg, "data", "population", "deaths")
-    merge = {}
-    for pair in sec.get("merge", "").split(","):
-        if ":" in pair:
-            src, dst = pair.split(":", 1)
-            merge[src.strip()] = dst.strip()
-    year_range = None
-    if sec.get("year_min") and sec.get("year_max"):
-        year_range = (int(sec["year_min"]), int(sec["year_max"]))
-    labels = tuple(x.strip() for x in sec.get("age_groups", "").split(",") if x.strip())
-    spec = ingest.IngestSpec(
-        population_path=sec.get("population", ""),
-        deaths_path=sec.get("deaths", ""),
-        factors_path=sec.get("factors") or None,
-        age_group_labels=labels,
-        cause_merge=merge,
-        year_range=year_range,
-        idiosyncratic_label=sec.get("idiosyncratic", "idiosyncratic"),
-    )
-    return ingest.ingest(spec)
+    sec = config(cfg, "data")
+    years = (sec["year_min"], sec["year_max"])
+    if (years[0] is None) != (years[1] is None):
+        raise DataError(f"{cfg.path}: [data] year_min and year_max go together")
+    return ingest.ingest(ingest.IngestSpec(
+        population_path=sec["population"], deaths_path=sec["deaths"], factors_path=sec["factors"],
+        age_group_labels=tuple(sec["age_groups"]), cause_merge=sec["merge"],
+        year_range=None if years[0] is None else years, idiosyncratic_label=sec["idiosyncratic"],
+    ))
+
+
+def _csv_records(path: str, kind: str, make) -> list:
+    """``make(row)`` for each row of the CSV file at ``path``.  A missing
+    file, or a row ``make`` cannot read, is a DataError naming the file."""
+    if not os.path.isfile(path):
+        raise DataError(f"{kind} file not found: {path}")
+    records = []
+    with open(path, newline="") as fh:
+        for i, row in enumerate(csv.DictReader(fh, restval=""), start=2):
+            try:
+                records.append(make(row))
+            except (KeyError, ValueError) as exc:
+                raise DataError(f"{path}:{i}: bad {kind} row ({exc})") from None
+    return records
 
 
 def load_portfolio_csv(path: str, trends: TrendParams, year: float, unit: float) -> Portfolio:
-    if not os.path.exists(path):
-        raise DataError(f"portfolio file not found: {path}")
-    cells = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, start=2):
-            try:
-                cells.append(
-                    CellSpec(
-                        age_group=int(row["age_group"]),
-                        gender=row["gender"].strip().lower(),
-                        count=int(row["count"]),
-                        payment=float(row.get("payment") or 1.0),
-                        survival_payment=float(row["survival_payment"])
-                        if row.get("survival_payment")
-                        else None,
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{i}: bad portfolio row ({exc})") from None
-    from .domain import build_portfolio
-
-    return build_portfolio(cells, trends, year, unit=unit)
+    cells = _csv_records(path, "portfolio", lambda row: CellSpec(
+        age_group=int(row["age_group"]), gender=row["gender"].strip().lower(),
+        count=int(row["count"]), payment=_finite(row.get("payment") or "1"),
+        survival_payment=_finite(row["survival_payment"]) if row.get("survival_payment") else None,
+    ))
+    return domain.build_portfolio(cells, trends, year, unit=unit)
 
 
-def risk_factors_from_config(cfg) -> list[RiskFactorSpec]:
-    sec = cfg["model"] if cfg.has_section("model") else {}
-    s2 = _floats(sec.get("sigma2", ""))
-    return [RiskFactorSpec(k=i + 1, variance=v) for i, v in enumerate(s2)]
+def _book(args, cfg, section: str):
+    """[section]'s keys, the risk factors and the portfolio priced at [section]
+    year with the ``--params`` trends, else [trends]; year defaults to their t0."""
+    sec = config(cfg, section)
+    rf = [RiskFactorSpec(k=i + 1, variance=v) for i, v in enumerate(config(cfg, "model")["sigma2"])]
+    trends = load_params(args.params).trends if args.params else trends_from_config(cfg, len(rf) + 1)
+    year = trends.t0 if sec["year"] is None else sec["year"]
+    return sec, rf, load_portfolio_csv(sec["portfolio"], trends, year, sec["unit"])
 
 
 def _write_distribution_csv(dist: aggregation.LossDistribution, path: str):
@@ -302,13 +385,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
-    rf = risk_factors_from_config(cfg)
-    sec = _section(cfg, "aggregate", "portfolio")
-    unit = float(sec.get("unit", "1.0"))
-    year = float(sec.get("year", sec.get("t0", "1987")))
-    params = load_params(args.params) if args.params else None
-    trends = params.trends if params else trends_from_config(cfg, len(rf) + 1)
-    pf = load_portfolio_csv(sec["portfolio"], trends, year, unit)
+    sec, rf, pf = _book(args, cfg, "aggregate")
+    unit = sec["unit"]
     if not pf.holders:
         dist = aggregation.LossDistribution.point(0.0, unit=unit)
     else:
@@ -331,21 +409,14 @@ def cmd_fit_mom(args) -> int:
 
 
 def _prior_from_config(cfg) -> estimation.PriorSpec:
-    blocks = {}
-    if cfg.has_section("prior"):
-        grouped: dict[str, dict[str, float]] = {}
-        for key, val in cfg["prior"].items():
-            if "." not in key:
-                continue
-            family, attr = key.rsplit(".", 1)
-            grouped.setdefault(family, {})[attr] = float(val)
-        for family, kw in grouped.items():
-            blocks[family] = estimation.BlockPrior(
-                c=kw.get("c", 0.0),
-                epsilon=kw.get("epsilon", 0.0),
-                order=int(kw.get("order", 1)),
-            )
-    return estimation.PriorSpec(blocks)
+    """[prior] ``<family>.c``, ``.epsilon`` and ``.order``; a family with
+    c = 0 is flat and left out."""
+    sec = config(cfg, "prior")
+    return estimation.PriorSpec({
+        f: estimation.BlockPrior(sec[f"{f}.c"], sec[f"{f}.epsilon"], sec[f"{f}.order"])
+        for f in estimation.FAMILIES
+        if sec[f"{f}.c"] > 0
+    })
 
 
 def _run_chain(payload):
@@ -355,40 +426,36 @@ def _run_chain(payload):
 
 def cmd_fit_mcmc(args) -> int:
     cfg = load_config(args.config)
+    sec = config(cfg, "mcmc", steps=args.steps, burn_in=args.burn_in)
+    n_steps, burn_in, n_chains = sec["steps"], sec["burn_in"], sec["chains"]
+    if burn_in >= n_steps:
+        raise DataError(f"{cfg.path}: [mcmc] burn_in {burn_in} must be below steps {n_steps}")
+    prior = _prior_from_config(cfg)
+    threads = os.environ.get("ECRPLUS_THREADS", "1")
+    if not threads.isdigit() or int(threads) < 1:
+        raise UsageError(f"ECRPLUS_THREADS must be a positive integer, not {threads!r}")
     panel = panel_from_config(cfg)
-    sec = cfg["mcmc"] if cfg.has_section("mcmc") else {}
-    likelihood = sec.get("likelihood", "poisson")
-    if likelihood == "bernoulli" and panel.n_causes > 1:
+    if sec["likelihood"] == "bernoulli" and panel.n_causes > 1:
         panel = panel.collapse_causes()
     if args.params:
-        init = load_params(args.params)
+        init = _panel_params(args, panel)
     else:
         init = estimation.mom_fit(panel, trends_from_config(cfg, panel.n_causes))
-    prior = _prior_from_config(cfg)
-    n_steps = args.steps or int(sec.get("steps", "40000"))
-    burn_in = args.burn_in or int(sec.get("burn_in", "10000"))
-    n_chains = int(sec.get("chains", "1"))
-    seed = int(sec.get("seed", "0"))
-    scale = float(sec.get("scale", "0.05"))
 
     payloads = []
     for c in range(n_chains):
         mcfg = estimation.McmcConfig(
-            n_steps=n_steps,
-            burn_in=burn_in,
-            seed=seed,
-            chain_id=c,
-            likelihood=likelihood,
-            proposal_scales={f: scale for f in estimation.FAMILIES},
-            record_path=os.path.join(args.out, f"chain_{c}.csv"),
+            n_steps=n_steps, burn_in=burn_in, seed=sec["seed"], chain_id=c,
+            likelihood=sec["likelihood"], record_path=os.path.join(args.out, f"chain_{c}.csv"),
+            proposal_scales={f: sec["scale"] for f in estimation.FAMILIES},
         )
         payloads.append((panel, init, prior, mcfg, args.resume))
 
-    threads = int(os.environ.get("ECRPLUS_THREADS", "1"))
-    if threads > 1 and n_chains > 1:
+    workers = min(int(threads), n_chains)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chains = list(pool.map(_run_chain, payloads))
     else:
         chains = [_run_chain(p) for p in payloads]
@@ -411,7 +478,7 @@ def cmd_fit_mcmc(args) -> int:
 def cmd_map_factors(args) -> int:
     cfg = load_config(args.config)
     panel = panel_from_config(cfg)
-    params = load_params(args.params)
+    params = _panel_params(args, panel)
     rows = []
     sigma_rows = []
     for k in range(1, panel.n_causes):
@@ -449,27 +516,26 @@ def cmd_map_factors(args) -> int:
 
 def cmd_forecast(args) -> int:
     cfg = load_config(args.config)
+    sec = config(cfg, "forecast")
     panel = panel_from_config(cfg)
-    params = load_params(args.params)
-    sec = _section(cfg, "forecast", "horizon")
-    base_year = int(sec.get("base_year", str(int(panel.years[-1]))))
-    horizon = int(sec["horizon"])
-    d = float(sec.get("d", "0"))
-    levels = _floats(sec.get("levels", "0.05,0.5,0.95"))
+    params = _panel_params(args, panel)
+    base_year = int(panel.years[-1]) if sec["base_year"] is None else sec["base_year"]
+    horizon, levels, max_samples = sec["horizon"], sec["levels"], sec["max_samples"]
     if base_year not in panel.years:
         raise DataError(
-            f"[forecast] base_year {base_year} is not a panel year "
+            f"{cfg.path}: [forecast] base_year {base_year} is not a panel year "
             f"({int(panel.years[0])}-{int(panel.years[-1])}); its exposures are unknown"
         )
+    if horizon <= base_year:
+        raise DataError(
+            f"{cfg.path}: [forecast] horizon {horizon} must lie beyond base_year {base_year}"
+        )
     ti = list(panel.years).index(base_year)
-    population = {}
-    for a in range(panel.n_age_groups):
-        for gi in range(2):
-            population[(a, gi)] = int(panel.exposure[ti, a, gi])
+    population = {(a, gi): int(panel.exposure[ti, a, gi])
+                  for a in range(panel.n_age_groups) for gi in range(2)}
     fcfg = forecast.ForecastConfig(
-        base_year=base_year, horizon=horizon, inflation=d, population=population
+        base_year=base_year, horizon=horizon, inflation=sec["d"], population=population
     )
-    max_samples = int(sec.get("max_samples", "50"))
     draws = estimation.posterior_draws(_posterior_sample(args, params), max_samples)
     years = list(range(base_year + 1, horizon + 1))
     with open(os.path.join(args.out, "forecast_bands.csv"), "w", newline="") as fh:
@@ -490,11 +556,10 @@ def cmd_forecast(args) -> int:
 
 def cmd_life_table(args) -> int:
     cfg = load_config(args.config)
+    sec = config(cfg, "life_table")
     params = load_params(args.params)
-    sec = cfg["life_table"] if cfg.has_section("life_table") else {}
-    year = int(sec.get("year", str(int(params.trends.t0))))
-    age_min = int(sec.get("age_min", "0"))
-    age_max = int(sec.get("age_max", "110"))
+    year = int(params.trends.t0) if sec["year"] is None else sec["year"]
+    age_min, age_max = sec["age_min"], sec["age_max"]
     with open(os.path.join(args.out, "life_table.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["age", "gender", "expected_future_years"])
@@ -508,20 +573,9 @@ def cmd_life_table(args) -> int:
 
 def cmd_scenario(args) -> int:
     cfg = load_config(args.config)
-    rf = risk_factors_from_config(cfg)
-    sec = _section(cfg, "scenario", "portfolio")
-    unit = float(sec.get("unit", "1.0"))
-    year = float(sec.get("year", "1987"))
-    params = load_params(args.params) if args.params else None
-    trends = params.trends if params else trends_from_config(cfg, len(rf) + 1)
-    pf = load_portfolio_csv(sec["portfolio"], trends, year, unit)
-    fixed = {}
-    for pair in sec.get("factors", "").split(","):
-        if ":" in pair:
-            k, lam = pair.split(":", 1)
-            fixed[int(k)] = float(lam)
-    scen = solvency.Scenario(fixed_factors=fixed, description=sec.get("description", ""))
-    cond = solvency.scenario_loss(pf, rf, scen, unit=unit)
+    sec, rf, pf = _book(args, cfg, "scenario")
+    unit, fixed = sec["unit"], sec["factors"]
+    cond = solvency.scenario_loss(pf, rf, solvency.Scenario(fixed_factors=fixed), unit=unit)
     base = aggregation.aggregate_loss(pf, rf, unit=unit)
     report = {"scenario": _dist_summary(cond), "unconditional": _dist_summary(base)}
     try:
@@ -542,36 +596,24 @@ def cmd_scenario(args) -> int:
 
 def cmd_scr(args) -> int:
     cfg = load_config(args.config)
-    sec = _section(cfg, "scr", "policies")
-    policies = []
-    with open(sec["policies"], newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, start=2):
-            try:
-                policies.append(
-                    solvency.TermPolicy(
-                        age=int(row["age"]),
-                        gender=row["gender"].strip().lower(),
-                        sum_insured=float(row["sum_insured"]),
-                        term_years=int(row["term_years"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{sec['policies']}:{i}: bad policy row ({exc})") from None
+    sec = config(cfg, "scr")
+    policies = _csv_records(sec["policies"], "policy", lambda row: solvency.TermPolicy(
+        age=int(row["age"]), gender=row["gender"].strip().lower(),
+        sum_insured=_finite(row["sum_insured"]), term_years=int(row["term_years"]),
+    ))
+    if not policies:
+        raise DataError(f"{sec['policies']}: no policies")
     params = load_params(args.params)
     chain = _posterior_sample(args, params)
     horizon = max(p.term_years for p in policies) + 2
-    curve = solvency.DiscountCurve.flat(float(sec.get("rate", "0.0")), horizon)
-    base_year = int(sec.get("base_year", str(int(params.trends.t0))))
-    unit = float(sec["unit"]) if sec.get("unit") else None
     dist = solvency.delta_bof_distribution(
         policies,
-        asset_value=float(sec.get("asset_value", "0")),
-        coupon=float(sec.get("coupon", "0")),
-        curve=curve,
+        asset_value=sec["asset_value"],
+        coupon=sec["coupon"],
+        curve=solvency.DiscountCurve.flat(sec["rate"], horizon),
         chain=chain,
-        base_year=base_year,
-        unit=unit,
+        base_year=int(params.trends.t0) if sec["base_year"] is None else sec["base_year"],
+        unit=sec["unit"],
     )
     capital = solvency.scr(dist)
     report = _dist_summary(dist)
@@ -585,7 +627,7 @@ def cmd_scr(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     panel = panel_from_config(cfg)
-    params = load_params(args.params)
+    params = _panel_params(args, panel)
     chain = _posterior_sample(args, params)
     report = {}
 

@@ -45,16 +45,14 @@ class ForecastConfig:
     """Projection settings.
 
     ``population`` maps (age_group, gender_index) to the exposure frozen at
-    the base year; ``population_path`` optionally maps (age_group,
-    gender_index, year) and overrides it.  ``inflation`` is the d in the
-    quadratic variance inflation.
+    the base year.  ``inflation`` is the d in the quadratic variance
+    inflation.
     """
 
     base_year: int
     horizon: int
     inflation: float = 0.0
     population: dict = field(default_factory=dict)
-    population_path: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.horizon <= self.base_year:
@@ -62,10 +60,8 @@ class ForecastConfig:
         if self.inflation < 0.0:
             raise ValueError("variance inflation d must be >= 0")
 
-    def exposure_for(self, cell: tuple, year: int) -> int:
+    def exposure_for(self, cell: tuple) -> int:
         a, gi = cell
-        if (a, gi, year) in self.population_path:
-            return int(self.population_path[(a, gi, year)])
         if (a, gi) in self.population:
             return int(self.population[(a, gi)])
         raise DataError(f"no population for cell (a={a}, g={gi})")
@@ -88,7 +84,7 @@ def forecast_death_rate(
     if year > cfg.horizon:
         raise DataError(f"year {year} exceeds the forecast horizon {cfg.horizon}")
     a, gi = cell
-    m = cfg.exposure_for(cell, year)
+    m = cfg.exposure_for(cell)
     trends = params.trends
     q = death_prob(a, gi, year, trends)
     w = cause_weights(a, gi, year, trends)
@@ -125,7 +121,7 @@ def forecast_bands(
     samples = posterior_draws(chain, max_samples)
     out = {}
     for year in years:
-        m = cfg.exposure_for(cell, year)
+        m = cfg.exposure_for(cell)
         dists = [forecast_death_rate(cell, year, pv, cfg) for pv in samples]
         mix = mixture(dists)
         out[int(year)] = {lv: quantile(mix, lv) / m for lv in levels}

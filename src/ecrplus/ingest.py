@@ -43,7 +43,7 @@ class IngestSpec:
 
 
 def _read_rows(path: str, required: list[str]) -> list[dict]:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -51,7 +51,6 @@ class Scenario:
     """Risk-factor realisations to condition on, keyed by cause index."""
 
     fixed_factors: dict
-    description: str = ""
 
     def __post_init__(self):
         for k, lam in self.fixed_factors.items():

@@ -1,11 +1,16 @@
+import configparser
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ecrplus.cli import main, params_from_dict, params_to_dict
+from ecrplus import estimation
+from ecrplus.cli import CONFIG, main, params_from_dict, params_to_dict
 from ecrplus.errors import DataError
 from ecrplus.estimation import McmcChain, ParamVector
 from ecrplus.ingest import IngestSpec, ingest, write_panel
@@ -279,7 +284,9 @@ class TestCli:
         assert main([command, "-c", str(cfg), "-o", str(cli_workspace / "out")]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", [[55, "x", 1000, 10], [130, "f", 1000, 10]])
+    @pytest.mark.parametrize("row", [
+        [55, "x", 1000, 10], [130, "f", 1000, 10], [55, "f", "nan", 10],
+    ])
     def test_bad_policy_row_is_a_data_error(self, cli_workspace, capsys, row):
         ws = str(cli_workspace)
         cfg = os.path.join(ws, "ecrplus.ini")
@@ -334,6 +341,196 @@ class TestCli:
         open(chain, "w").writelines(lines[: 2 + 30])
         assert main(["fit-mcmc", "-c", cfg, "-o", out, "--params", params, "--resume"]) == 0
         assert open(chain).read() == full
+
+
+def _set_key(cfg, section, key, value):
+    """Write ``key = value`` into [section] of the config file, in place of
+    any value it had; the section is added when missing."""
+    text = cfg.read_text()
+    start = text.find(f"[{section}]\n")
+    if start < 0:
+        cfg.write_text(f"{text}\n[{section}]\n{key} = {value}\n")
+        return
+    end = text.find("\n[", start)
+    end = len(text) if end < 0 else end + 1
+    lines = [line for line in text[start:end].splitlines() if not line.startswith(f"{key} =")]
+    lines.insert(1, f"{key} = {value}")
+    cfg.write_text(text[:start] + "\n".join(lines) + "\n" + text[end:])
+
+
+# Each command as the full pipeline runs it: (command, takes --params, takes --chain).
+_COMMANDS = [
+    ("fit-mom", False, False), ("fit-mcmc", True, False), ("map-factors", True, False),
+    ("aggregate", True, False), ("forecast", True, True), ("life-table", True, False),
+    ("scenario", True, False), ("scr", True, True), ("validate", True, True),
+]
+
+
+def _run(ws, command, cfg, out):
+    """Run ``command`` against the parameters and chain in ``ws/base``."""
+    argv = [command, "-c", str(cfg), "-o", str(out)]
+    _, params, chain = next(c for c in _COMMANDS if c[0] == command)
+    if params:
+        argv += ["--params", str(ws / "base" / "params_mom.json")]
+    if chain:
+        argv += ["--chain", str(ws / "base" / "chain_0.csv")]
+    return main(argv)
+
+
+@pytest.fixture
+def fitted_workspace(cli_workspace):
+    """The CLI workspace with its moment fit and chain in ``base/``."""
+    cfg, base = cli_workspace / "ecrplus.ini", cli_workspace / "base"
+    assert main(["fit-mom", "-c", str(cfg), "-o", str(base)]) == 0
+    assert main(["fit-mcmc", "-c", str(cfg), "-o", str(base),
+                 "--params", str(base / "params_mom.json")]) == 0
+    return cli_workspace
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("fit-mcmc", "mcmc", "steps", "ten"),
+        ("fit-mcmc", "mcmc", "burn_in", "200"),
+        ("fit-mcmc", "mcmc", "likelihood", "foo"),
+        ("fit-mcmc", "mcmc", "chains", "0"),
+        ("fit-mcmc", "mcmc", "scale", "0"),
+        ("fit-mcmc", "prior", "alpha.order", "4"),
+        ("fit-mcmc", "prior", "alpha", "1"),
+        ("aggregate", "model", "sigma2", "-0.1"),
+        ("aggregate", "aggregate", "unit", "0"),
+        ("aggregate", "aggregate", "unit", "abc"),
+        ("aggregate", "aggregate", "t0", "2003"),
+        ("scenario", "scenario", "factors", "1:x"),
+        ("scenario", "scenario", "unit", "nan"),
+        ("scenario", "scenario", "description", "pandemic"),
+        ("scr", "scr", "asset_value", "x"),
+        ("scr", "scr", "cupon", "0.05"),
+        ("fit-mom", "trends", "t0", "x"),
+        ("fit-mom", "data", "year_min", "2003"),
+        ("forecast", "forecast", "horizon", "x"),
+        ("forecast", "forecast", "horizon", "2005"),
+        ("forecast", "forecast", "levels", "1.5"),
+        ("forecast", "forecast", "levels", ","),
+        ("life-table", "life_table", "age_min", "x"),
+        ("life-table", "life_table", "age_max", "500"),
+    ])
+    def test_bad_value_is_a_data_error(self, fitted_workspace, capsys, command, section, key,
+                                       value):
+        cfg = fitted_workspace / "ecrplus.ini"
+        _set_key(cfg, section, key, value)
+        capsys.readouterr()
+        assert _run(fitted_workspace, command, cfg, fitted_workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"[{section}]" in err and key in err
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nunit = 2\n", "[scenaro]\nunit = 2\n"])
+    def test_unknown_section_is_a_data_error(self, cli_workspace, capsys, text):
+        cfg = cli_workspace / "ecrplus.ini"
+        cfg.write_text(cfg.read_text() + text)
+        assert main(["aggregate", "-c", str(cfg), "-o", str(cli_workspace / "out")]) == 2
+        assert text.split("\n")[0] in capsys.readouterr().err
+
+    # Without burn-in the proposal scales never adapt, and the v blocks
+    # reject every proposal at the workspace's scale.
+    @pytest.mark.filterwarnings("ignore:block .* every proposal was rejected:UserWarning")
+    def test_flags_replace_config_values_and_are_checked(self, fitted_workspace):
+        cfg, out = fitted_workspace / "ecrplus.ini", fitted_workspace / "out"
+        params = str(fitted_workspace / "base" / "params_mom.json")
+        assert main(["fit-mcmc", "-c", str(cfg), "-o", str(out), "--params", params,
+                     "--burn-in", "0"]) == 0
+        records = [line for line in open(out / "chain_0.csv").readlines()[2:] if line.strip()]
+        assert len(records) == 120  # [mcmc] steps, none burnt in
+        for flags in (["--steps", "0"], ["--burn-in", "-1"], ["--steps", "30"]):
+            assert main(["fit-mcmc", "-c", str(cfg), "-o", str(out), "--params", params,
+                         *flags]) == 2
+
+    @pytest.mark.parametrize("command", ["fit-mcmc", "map-factors", "forecast", "validate"])
+    def test_params_of_another_panel_is_a_data_error(self, fitted_workspace, capsys, command):
+        cfg = fitted_workspace / "ecrplus.ini"
+        _set_key(cfg, "data", "idiosyncratic", "other")  # a third cause
+        capsys.readouterr()
+        assert _run(fitted_workspace, command, cfg, fitted_workspace / "out") == 2
+        assert "params_mom.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [None, []])
+    def test_missing_or_empty_policy_file_is_a_data_error(self, fitted_workspace, capsys, rows):
+        policies = fitted_workspace / "policies.csv"
+        if rows is None:
+            policies.unlink()
+        else:
+            _write_csv(policies, ["age", "gender", "sum_insured", "term_years"], rows)
+        cfg = fitted_workspace / "ecrplus.ini"
+        assert _run(fitted_workspace, "scr", cfg, fitted_workspace / "out") == 2
+        assert str(policies) in capsys.readouterr().err
+
+    def test_parallel_chains_match_sequential_chains(self, fitted_workspace, monkeypatch, capsys):
+        cfg = fitted_workspace / "ecrplus.ini"
+        _set_key(cfg, "mcmc", "chains", "2")
+        params = str(fitted_workspace / "base" / "params_mom.json")
+        names = ("chain_0.csv", "chain_1.csv", "params_mcmc.json")
+        written = {}
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("ECRPLUS_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ECRPLUS_THREADS", threads)
+            out = fitted_workspace / f"threads_{threads}"
+            assert main(["fit-mcmc", "-c", str(cfg), "-o", str(out), "--params", params]) == 0
+            written[threads] = [(out / name).read_bytes() for name in names]
+        assert written[None] == written["2"]
+        monkeypatch.setenv("ECRPLUS_THREADS", "abc")
+        capsys.readouterr()
+        assert main(["fit-mcmc", "-c", str(cfg), "-o", str(fitted_workspace / "bad"),
+                     "--params", params]) == 1
+        assert "ECRPLUS_THREADS" in capsys.readouterr().err
+
+    def test_readme_documents_every_key(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        documented = set(re.findall(r"^\| `\[(\w+)\]` \| `([\w.<>]+)` \|", readme, re.M))
+        for family in estimation.FAMILIES:
+            assert f"`{family}`" in readme
+        for section, keys in CONFIG.items():
+            for key in keys:
+                generic = re.sub(r"^\w+\.", "<family>.", key) if section == "prior" else key
+                assert (section, generic) in documented, f"[{section}] {key}"
+
+    # One change to the working config: a value replaced by text or by a
+    # number, a key dropped, or a section dropped.  Numbers stay small, so
+    # no step count, lattice unit or sample count asks for unbounded work.
+    # A chain whose block rejects every proposal warns and still runs.
+    @pytest.mark.filterwarnings("ignore:block .* every proposal was rejected:UserWarning")
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_config_change_ends_in_an_exit_code(self, fitted_workspace, data):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(fitted_workspace / "ecrplus.ini")
+        keys = [(s, k) for s in parser.sections() for k in parser[s]]
+        section, key = data.draw(st.sampled_from(keys))
+        # Without [mcmc] steps or [scr] unit the run falls back to defaults
+        # sized for real data (40,000 steps, a 200k-point lattice).
+        changes = ["text", "number"]
+        if (section, key) not in {("mcmc", "steps"), ("scr", "unit")}:
+            changes.append("drop key")
+        if section != "mcmc":
+            changes.append("drop section")
+        change = data.draw(st.sampled_from(changes))
+        if change == "drop section":
+            parser.remove_section(section)
+        elif change == "drop key":
+            parser.remove_option(section, key)
+        fuzzed = fitted_workspace / "fuzzed.ini"
+        with open(fuzzed, "w") as fh:
+            parser.write(fh)
+        if change in ("text", "number"):
+            value = data.draw(st.text(max_size=8) if change == "text" else st.one_of(
+                st.integers(-3, 5),
+                st.sampled_from([-1.5, -0.5, 0.0, 0.25, 0.5, 1.5, 2.5, "nan", "inf", "1e400"]),
+            ))
+            _set_key(fuzzed, section, key, value)
+        for command, _, _ in _COMMANDS:
+            code = _run(fitted_workspace, command, fuzzed, fitted_workspace / "fuzz_out")
+            assert code in (0, 2, 3), (command, code)
 
 
 def _damage_chain(text: str, damage: str) -> str:
