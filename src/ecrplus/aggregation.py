@@ -73,6 +73,11 @@ _FFT_MIN = 1024
 # truncation_mass, never dropped silently.
 N_SD = 12.0
 
+# The most points one distribution's lattice may hold (2^25, 256 MiB per
+# float64 array).  A larger lattice comes from a unit far too small for
+# the book; it is refused before anything is allocated.
+MAX_LATTICE_POINTS = 1 << 25
+
 
 @dataclass(frozen=True)
 class LossDistribution:
@@ -315,7 +320,8 @@ def panjer_compound(sector: SectorCompound, n_max: int) -> LossDistribution:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     unit = sector.severity.unit
-    f = sector.severity.as_array()
+    # Payments beyond n_max are never read: the array stops there.
+    f = sector.severity.as_array(min(sector.severity.max_index, n_max) + 1)
     f0 = f[0] if f.size else 1.0
     if sector.count_law.mean() == 0.0 or f0 >= 1.0 - 1e-15:
         if abs(f0 - 1.0) > 1e-9 and sector.count_law.mean() != 0.0:
@@ -339,14 +345,15 @@ def panjer_compound(sector: SectorCompound, n_max: int) -> LossDistribution:
         pmf[0] = math.exp(log_g0)
         return LossDistribution(unit=unit, pmf=pmf, truncation_mass=1.0 - pmf[0])
     if atoms.size == 1:
-        # Single-atom severity: the recursion collapses to a product of the
-        # (a + b/n) ratios, evaluated as a cumulative sum of logs so that
-        # extreme intensities stay finite.
+        # Single atom up to n_max: the recursion collapses to a product of
+        # the (a + b/n) f_j ratios, evaluated as a cumulative sum of logs so
+        # that extreme intensities stay finite.  f_j < 1 when the other
+        # payments lie beyond n_max.
         j = int(atoms[0]) + 1
         n_pts = n_max // j
         pmf = np.zeros(n_max + 1)
         with np.errstate(divide="ignore"):
-            log_ratio = np.log(a + b / np.arange(1.0, n_pts + 1.0))
+            log_ratio = np.log(a + b / np.arange(1.0, n_pts + 1.0)) + math.log(f_pos[j - 1])
         log_g = log_g0 + np.concatenate([[0.0], np.cumsum(log_ratio)])
         pmf[:: j][: n_pts + 1] = np.exp(log_g)
         mass = pmf.sum()
@@ -582,12 +589,19 @@ def aggregate_sectors(sectors: list[SectorCompound], n_max: int | None = None) -
 
     Each sector runs through :func:`panjer_compound` and the results are
     convolved.  The default lattice bound is the sum's mean plus ``N_SD``
-    standard deviations, rounded up.
+    standard deviations, rounded up; a lattice of more than
+    ``MAX_LATTICE_POINTS`` points is a :class:`DataError`.
     """
     if n_max is None:
         mean = sum(s.mean() for s in sectors)
         var = sum(s.var() for s in sectors)
-        n_max = int(math.ceil(mean + N_SD * math.sqrt(max(var, 0.0))))
+        n_max = mean + N_SD * math.sqrt(max(var, 0.0))
+    if not math.isfinite(n_max) or math.ceil(n_max) + 1 > MAX_LATTICE_POINTS:
+        raise DataError(
+            f"the lattice needs {n_max + 1:,.0f} points at unit {sectors[0].severity.unit:g}, "
+            f"more than the {MAX_LATTICE_POINTS:,} allowed; choose a larger unit"
+        )
+    n_max = int(math.ceil(n_max))
     parts = [panjer_compound(s, n_max) for s in sectors]
     return convolve_sectors(parts, n_max=n_max)
 

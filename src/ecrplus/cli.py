@@ -50,6 +50,12 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise ValueError(f"negative count {value}")
+    return value
+
+
 def _list(parse):
     """Comma- or semicolon-separated values, each read by ``parse``."""
     return lambda text: [parse(x.strip()) for x in text.replace(";", ",").split(",") if x.strip()]
@@ -265,7 +271,7 @@ def _csv_records(path: str, kind: str, make) -> list:
 def load_portfolio_csv(path: str, trends: TrendParams, year: float, unit: float) -> Portfolio:
     cells = _csv_records(path, "portfolio", lambda row: CellSpec(
         age_group=int(row["age_group"]), gender=row["gender"].strip().lower(),
-        count=int(row["count"]), payment=_finite(row.get("payment") or "1"),
+        count=_count(row["count"]), payment=_finite(row.get("payment") or "1"),
         survival_payment=_finite(row["survival_payment"]) if row.get("survival_payment") else None,
     ))
     return domain.build_portfolio(cells, trends, year, unit=unit)
@@ -574,6 +580,8 @@ def cmd_life_table(args) -> int:
 def cmd_scenario(args) -> int:
     cfg = load_config(args.config)
     sec, rf, pf = _book(args, cfg, "scenario")
+    if not pf.holders:
+        raise DataError(f"{sec['portfolio']}: no policyholders (no rows, or every count is 0)")
     unit, fixed = sec["unit"], sec["factors"]
     cond = solvency.scenario_loss(pf, rf, solvency.Scenario(fixed_factors=fixed), unit=unit)
     base = aggregation.aggregate_loss(pf, rf, unit=unit)

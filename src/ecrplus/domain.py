@@ -237,7 +237,9 @@ def build_portfolio(
     """
     holders = []
     for n, cell in enumerate(spec):
-        if cell.count < 1:
+        if cell.count < 0:
+            raise DataError(f"cell {n}: negative count {cell.count}")
+        if cell.count == 0:
             continue
         gi = trends.gender_index(cell.gender)
         if not 0 <= cell.age_group < trends.n_age_groups:

@@ -34,8 +34,9 @@ from .errors import DataError, DegenerateEstimateError, NumericalError
 from .trends import (
     TrendParams,
     _kappa_grid,
-    _q_grid_arrays,
-    _w_grid_arrays,
+    _q_from_trend,
+    _trend_grid,
+    _w_from_trend,
     cause_weights_grid,
     death_prob_grid,
     laplace_cdf_inv,
@@ -151,32 +152,9 @@ def _finite_state(params: ParamVector) -> dict[str, np.ndarray]:
     return state
 
 
-def _log_likelihood_rho(deaths: np.ndarray, rho: np.ndarray, sigma2_t: np.ndarray) -> float:
-    """Log-likelihood given intensities; sigma2_t has shape (T, K)."""
-    if np.any((rho == 0.0) & (deaths > 0)):
-        return -np.inf
-    n0 = deaths[:, :, :, 0]
-    rho0 = rho[:, :, :, 0]
-    log_rho0 = np.log(np.where(rho0 > 0.0, rho0, 1.0))
-    total = float((-rho0 + n0 * log_rho0 - special.gammaln(n0 + 1.0)).sum())
-
-    K = deaths.shape[3] - 1
-    if K == 0:
-        return total
-    nk = deaths[:, :, :, 1:]
-    rhok = rho[:, :, :, 1:]
-    n_sum = nk.sum(axis=(1, 2))  # (T, K)
-    rho_sum = rhok.sum(axis=(1, 2))
-    inv = 1.0 / sigma2_t
-    mixed = (
-        special.gammaln(inv + n_sum)
-        - special.gammaln(inv)
-        - inv * np.log(sigma2_t)
-        - (inv + n_sum) * np.log(inv + rho_sum)
-    )
-    log_rhok = np.log(np.where(rhok > 0.0, rhok, 1.0))
-    cell = nk * log_rhok - special.gammaln(nk + 1.0)
-    return total + float(mixed.sum()) + float(cell.sum())
+# The families the q and w pieces of the likelihood kernel depend on.
+_Q_FAMILIES = frozenset({"alpha", "beta", "zeta", "eta", "kappa"})
+_W_FAMILIES = frozenset({"u", "v", "phi", "psi"})
 
 
 def _loglik_kernel(panel: CohortPanel, template: ParamVector, likelihood: str):
@@ -188,6 +166,23 @@ def _loglik_kernel(panel: CohortPanel, template: ParamVector, likelihood: str):
     variance per factor, or one row of them per panel year.  The cohort
     grid is built once when ``template`` fixes kappa or declares no cohort
     years.
+
+    The returned ``loglik(state, pieces=None, family=None)`` gives the
+    log-likelihood and the pieces it was summed from.  With rho = m q w,
+
+        ll = C + sum N log(m q) + sum n log w - sum m q w_0
+             + sum_{t,k} mixed(sigma2, n_sum, sum_cells m q w_k),
+
+    where C = -sum log n! and N is a cell's deaths over all causes.  The
+    q piece (m q and its log term) depends on alpha, beta, zeta, eta and
+    kappa only, the w piece (w and its log term) on u, v, phi and psi, and
+    the sigma2 piece (the mixed term's sigma2-only part) on sigma2; the
+    rest is recomputed on every call.  Given the ``pieces`` of a state
+    that differs from ``state`` in ``family`` alone, the pieces that family
+    does not touch are reused.  Each piece is computed from its own
+    families the same way on every call, so the result depends on the
+    state alone.  Deaths where m q w is an exact zero give -inf.  The
+    Bernoulli likelihood has no pieces and ignores both arguments.
     """
     years = panel.years.astype(float)
     deaths = panel.deaths
@@ -195,18 +190,27 @@ def _loglik_kernel(panel: CohortPanel, template: ParamVector, likelihood: str):
     trends = template.trends
     t0 = trends.t0
     zs = template.kappa_years()
+    fixed = template.fixed
 
     def kappa_grid(kappa: dict):
         return _kappa_grid(years, kappa, trends.age_midpoints, trends.n_age_groups)
 
-    kappa_static = "kappa" in template.fixed or not zs
+    # Grids that only fixed families set are built once, from the template.
+    kappa_static = "kappa" in fixed or not zs
     static_kap = kappa_grid(trends.kappa) if kappa_static else None
+    q_static = {"zeta", "eta"} <= fixed
+    q_trend = _trend_grid(years, trends.zeta, trends.eta, t0) if q_static else None
+    w_static = {"phi", "psi"} <= fixed
+    w_trend = _trend_grid(years, trends.phi, trends.psi, t0) if w_static else None
 
     def q_grid(state):
         kap = static_kap if kappa_static else kappa_grid(dict(zip(zs, state["kappa"])))
-        return _q_grid_arrays(
-            years, state["alpha"], state["beta"], state["zeta"], state["eta"], t0, kap
-        )
+        trend = q_trend if q_static else _trend_grid(years, state["zeta"], state["eta"], t0)
+        return _q_from_trend(trend, state["alpha"], state["beta"], kap)
+
+    def w_grid(state):
+        trend = w_trend if w_static else _trend_grid(years, state["phi"], state["psi"], t0)
+        return _w_from_trend(trend, state["u"], state["v"])
 
     if likelihood == "bernoulli":
         if panel.n_causes != 1:
@@ -219,18 +223,79 @@ def _loglik_kernel(panel: CohortPanel, template: ParamVector, likelihood: str):
             (special.gammaln(m + 1.0) - special.gammaln(n + 1.0) - special.gammaln(m - n + 1.0)).sum()
         )
 
-        def loglik(state):
+        def loglik(state, pieces=None, family=None):
             q = q_grid(state)
-            return log_binom + float((n * np.log(q) + (m - n) * np.log1p(-q)).sum())
+            return log_binom + float((n * np.log(q) + (m - n) * np.log1p(-q)).sum()), None
 
         return loglik
 
-    def loglik(state):
-        q = q_grid(state)
-        w = _w_grid_arrays(years, state["u"], state["v"], state["phi"], state["psi"], t0)
-        rho = exposure[:, :, :, None] * q[:, :, :, None] * w
-        s2 = state["sigma2"]
-        return _log_likelihood_rho(deaths, rho, np.broadcast_to(s2, (years.size, s2.shape[-1])))
+    # Constants of the panel.  The log terms are centred on the observed
+    # deaths, N log(m q / N) and n log(w / (n / N)), and each cause's -n
+    # moves to the intensity sums, so no sum cancels large numbers; the
+    # constant takes the rest.  Only cells with deaths enter the log terms.
+    T, K1 = years.size, deaths.shape[3]
+    n_cell = deaths.sum(axis=3).reshape(-1)
+    q_at = np.flatnonzero(n_cell)
+    n_q = n_cell[q_at].astype(float)
+    w_at = np.flatnonzero(deaths)
+    cell_of_w = w_at // K1
+    n_w = deaths.reshape(-1)[w_at].astype(float)
+    n_of_w = n_cell[cell_of_w].astype(float)
+    share = n_w / n_of_w
+    const = float(
+        (n_w * (np.log(n_of_w) + np.log(share)) - special.gammaln(n_w + 1.0) - n_w).sum()
+    )
+    n_year = deaths.sum(axis=(1, 2)).astype(float)  # (T, K+1)
+    n_sum = n_year[:, 1:]
+
+    def piece(grid, counts, at, centre):
+        """A grid, its log term and its smallest value where deaths are.
+        The log term is numpy's pairwise sum, not a BLAS dot product, whose
+        order of summation depends on the thread count above 10^4 terms."""
+        x = grid.reshape(-1)[at]
+        low = x.min() if x.size else 1.0
+        log_term = float((counts * np.log(x / centre)).sum()) if low > 0.0 else -math.inf
+        return grid, log_term, low
+
+    def q_piece(state):
+        return piece(exposure * q_grid(state), n_q, q_at, n_q)
+
+    def w_piece(state):
+        return piece(w_grid(state), n_w, w_at, share)
+
+    def impossible(mq, w, low_q, low_w) -> bool:
+        """Deaths where the intensity m q w is an exact zero, underflow
+        included; the product of the smallest factors is zero first."""
+        return low_q * low_w == 0.0 and bool(
+            np.any(mq.reshape(-1)[cell_of_w] * w.reshape(-1)[w_at] == 0.0)
+        )
+
+    def s2_piece(state):
+        """1/sigma2, 1/sigma2 + n_sum and the part of the mixed term that
+        depends on sigma2 alone, (T, K) each."""
+        if K1 == 1:
+            return None
+        s2 = state["sigma2"]  # (K,) or (T, K), broadcast against (T, K)
+        inv = 1.0 / s2
+        a = inv + n_sum
+        return inv, a, special.gammaln(a) - special.gammaln(inv) - inv * np.log(s2) + n_sum
+
+    def loglik(state, pieces=None, family=None):
+        reuse = pieces is not None
+        qp = pieces[0] if reuse and family not in _Q_FAMILIES else q_piece(state)
+        wp = pieces[1] if reuse and family not in _W_FAMILIES else w_piece(state)
+        sp = pieces[2] if reuse and family != "sigma2" else s2_piece(state)
+        pieces = (qp, wp, sp)
+        (mq, log_q, low_q), (w, log_w, low_w) = qp, wp
+        if impossible(mq, w, low_q, low_w):
+            return -np.inf, pieces
+        # Intensity sums over the cells of each year, one column per cause.
+        rho_sum = np.matmul(mq.reshape(T, 1, -1), w.reshape(T, -1, K1))[:, 0, :]
+        total = const + log_q + log_w + float((n_year[:, 0] - rho_sum[:, 0]).sum())
+        if sp is not None:
+            inv, a, mixed_s2 = sp
+            total += float((mixed_s2 - a * np.log(inv + rho_sum[:, 1:])).sum())
+        return total, pieces
 
     return loglik
 
@@ -244,7 +309,7 @@ def log_likelihood(panel: CohortPanel, params: ParamVector) -> float:
     state = _finite_state(params)
     if panel.n_years == 0:
         raise DataError("empty panel")
-    return _loglik_kernel(panel, params, "poisson")(state)
+    return _loglik_kernel(panel, params, "poisson")(state)[0]
 
 
 def log_likelihood_inflated(
@@ -254,13 +319,13 @@ def log_likelihood_inflated(
     forecast variance inflation)."""
     state = _finite_state(params)
     state["sigma2"] = np.asarray(sigma2_t, dtype=float)
-    return _loglik_kernel(panel, params, "poisson")(state)
+    return _loglik_kernel(panel, params, "poisson")(state)[0]
 
 
 def log_likelihood_bernoulli(panel: CohortPanel, params: ParamVector) -> float:
     """Binomial log-likelihood for the purely idiosyncratic model (K = 0)."""
     loglik = _loglik_kernel(panel, params, "bernoulli")
-    return loglik(_finite_state(params))
+    return loglik(_finite_state(params))[0]
 
 
 @dataclass(frozen=True)
@@ -674,16 +739,21 @@ def _flatten(params: ParamVector) -> np.ndarray:
     )
 
 
-def _unflatten(template: ParamVector, flat: np.ndarray) -> ParamVector:
-    state = template.to_state()
+def _unflatten_state(base: dict, blocks, flat: np.ndarray) -> dict:
+    """A copy of the state ``base`` with its free ``blocks`` set from ``flat``."""
+    state = dict(base)
     pos = 0
-    for family, gi in _blocks_for(template):
+    for family, gi in blocks:
         size = _block_view(state, family, gi).size
         _set_block(state, family, gi, np.asarray(flat[pos : pos + size]))
         pos += size
     if pos != flat.size:
         raise DataError("flattened parameter vector has the wrong length")
-    return template.with_state(state)
+    return state
+
+
+def _unflatten(template: ParamVector, flat: np.ndarray) -> ParamVector:
+    return template.with_state(_unflatten_state(template.to_state(), _blocks_for(template), flat))
 
 
 def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
@@ -724,14 +794,15 @@ _CHAIN_META = ("seed", "chain", "n_steps", "burn_in", "likelihood", "blocks")
 
 
 def _state_logpost(panel: CohortPanel, template: ParamVector, prior: PriorSpec, likelihood: str):
-    """Log-posterior as a function of the raw state dict."""
+    """Log-posterior as a function of the raw state dict, with the
+    likelihood pieces it was summed from (see :func:`_loglik_kernel`)."""
     loglik = _loglik_kernel(panel, template, likelihood)
 
-    def logpost(state):
-        ll = loglik(state)
+    def logpost(state, pieces=None, family=None):
+        ll, pieces = loglik(state, pieces, family)
         if not math.isfinite(ll):
-            return -math.inf
-        return ll + _log_prior_state(state, prior)
+            return -math.inf, pieces
+        return ll + _log_prior_state(state, prior), pieces
 
     return logpost
 
@@ -814,7 +885,7 @@ def mcmc_sample(
                 [f"scale.{f}{'' if g is None else '.' + 'fm'[g]}" for f, g in blocks]
             ) + "," + ",".join(names) + "\n")
 
-    cur_lp = logpost(state)
+    cur_lp, cur_pieces = logpost(state)
     if not math.isfinite(cur_lp):
         raise NumericalError("log-posterior is not finite at the initial state")
 
@@ -826,25 +897,23 @@ def mcmc_sample(
     window_try = {b: 0 for b in blocks}
     kept = 0
     streams = _StepStreams(cfg.seed, cfg.chain_id)
+    moves = {b: scales[b] * shapes[b] for b in blocks}
 
-    for step in range(cfg.n_steps):
-        if step < start_step:
-            continue
+    for step in range(start_step, cfg.n_steps):
         rng = streams.at_step(step)
         for b in blocks:
             family, gi = b
             flat = _block_view(state, family, gi)
-            prop = flat + scales[b] * shapes[b] * rng.standard_normal(flat.size)
-            ok = (
-                family not in _POSITIVE or np.all(prop > 0.0)
-            ) and np.all(np.isfinite(prop))
+            prop = flat + moves[b] * rng.standard_normal(flat.size)
+            ok = (family not in _POSITIVE or (prop > 0.0).all()) and np.isfinite(prop).all()
             if ok:
                 new_state = dict(state)
                 _set_block(new_state, family, gi, prop)
-                cand_lp = logpost(new_state)
+                cand_lp, cand_pieces = logpost(new_state, cur_pieces, family)
                 if metropolis_accept(rng, cand_lp - cur_lp):
                     state = new_state
                     cur_lp = cand_lp
+                    cur_pieces = cand_pieces
                     accept_count[b] += 1
                     window_acc[b] += 1
             else:
@@ -854,6 +923,7 @@ def mcmc_sample(
             for b in blocks:
                 rate = window_acc[b] / max(window_try[b], 1)
                 scales[b] *= math.exp(max(-1.0, min(1.0, 2.0 * (rate - 0.3))))
+                moves[b] = scales[b] * shapes[b]
                 window_acc[b] = 0
                 window_try[b] = 0
         if step >= cfg.burn_in:
@@ -866,7 +936,7 @@ def mcmc_sample(
             if writer is not None:
                 row = [str(step), f"{cur_lp:.17g}"]
                 row += [f"{scales[b]:.17g}" for b in blocks]
-                row += [f"{x:.17g}" for x in flat_all]
+                row += [f"{x:.17g}" for x in flat_all.tolist()]
                 writer.write(",".join(row) + "\n")
     if writer is not None:
         writer.close()
@@ -975,12 +1045,23 @@ def load_chain(path: str, template: ParamVector) -> McmcChain:
 
 
 def information_criteria(panel: CohortPanel, chain: McmcChain, likelihood: str = "poisson") -> dict:
-    """AIC, BIC and DIC computed from a posterior sample."""
-    loglik = log_likelihood if likelihood == "poisson" else log_likelihood_bernoulli
+    """AIC, BIC and DIC computed from a posterior sample, every record
+    evaluated by one likelihood kernel."""
+    template = chain.template
+    sigma2_cols = [j for j, name in enumerate(chain.names) if name.startswith("sigma2")]
+    if not np.isfinite(chain.samples).all() or (chain.samples[:, sigma2_cols] <= 0.0).any():
+        raise ValueError("chain records hold non-finite values or non-positive sigma2")
+    loglik = _loglik_kernel(panel, template, likelihood)
+    base = _finite_state(template)
+    blocks = _blocks_for(template)
+
+    def ll(flat):
+        return loglik(_unflatten_state(base, blocks, flat))[0]
+
     k = len(chain.names)
     n_obs = panel.deaths.size
-    lls = np.array([loglik(panel, chain.param_vector(i)) for i in range(len(chain))])
-    ll_mean_theta = loglik(panel, chain.mean_param_vector())
+    lls = np.array([ll(row) for row in chain.samples])
+    ll_mean_theta = ll(chain.samples.mean(axis=0))
     max_ll = float(lls.max())
     d_bar = float(np.mean(-2.0 * lls))
     p_d = d_bar - (-2.0 * ll_mean_theta)

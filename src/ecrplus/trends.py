@@ -35,19 +35,17 @@ __all__ = [
 
 GENDERS = ("f", "m")
 
-# F_Lap saturates to double precision long before |x| = 700; clamping the
-# argument keeps exp() away from overflow for absurd parameter values.
-_ARG_CLAMP = 700.0
-
 
 def laplace_cdf(x):
     """CDF of the Laplace distribution with mean zero and variance two.
 
     F(x) = 1/2 + sign(x) * (1 - exp(-|x|)) / 2.  Accepts scalars or arrays.
+    exp(-|x|) cannot overflow, and F saturates to 0 or 1 from |x| ~ 37 on.
     """
-    x = np.clip(np.asarray(x, dtype=float), -_ARG_CLAMP, _ARG_CLAMP)
-    out = 0.5 + 0.5 * np.sign(x) * (-np.expm1(-np.abs(x)))
-    if out.ndim == 0:
+    x = np.asarray(x, dtype=float)
+    # Scaling by 0.5 and setting the sign are exact.
+    out = 0.5 + np.copysign(0.5 * np.expm1(-np.abs(x)), x)
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -215,26 +213,40 @@ def cause_weights(a: int, g, t, params: TrendParams) -> np.ndarray:
     return w / w.sum()
 
 
-def _q_grid_arrays(years, alpha, beta, zeta, eta, t0, kappa_grid=None) -> np.ndarray:
-    star = np.arctan(eta[None, :, :] * (years[:, None, None] - zeta[None, :, :])) / eta
+def _trend_grid(years, zeta, eta, t0) -> np.ndarray:
+    """:func:`trend_time` at every year for arrays of (zeta, eta), with the
+    same operations; shape (T, *zeta.shape)."""
+    t = years.reshape((-1,) + (1,) * np.ndim(zeta))
+    star = np.arctan(eta * (t - zeta)) / eta
     star0 = np.arctan(eta * (t0 - zeta)) / eta
     star0m1 = np.arctan(eta * (t0 - 1.0 - zeta)) / eta
-    trend = (star - star0[None, :, :]) / (star0 - star0m1)[None, :, :]
-    arg = alpha[None, :, :] + beta[None, :, :] * trend
+    return (star - star0) / (star0 - star0m1)
+
+
+def _q_from_trend(trend, alpha, beta, kappa_grid=None) -> np.ndarray:
+    """Death probabilities from the (T, A, 2) grid of ``_trend_grid``."""
+    arg = alpha + beta * trend
     if kappa_grid is not None:
         arg = arg + kappa_grid[:, :, None]
-    return np.clip(laplace_cdf(arg), _Q_FLOOR, _Q_CEIL)
+    return np.minimum(np.maximum(laplace_cdf(arg), _Q_FLOOR), _Q_CEIL)
 
 
-def _w_grid_arrays(years, u, v, phi, psi, t0) -> np.ndarray:
+def _w_from_trend(trend, u, v) -> np.ndarray:
+    """Cause weights from the (T, K+1) grid of ``_trend_grid``: a softmax
+    over the causes taken one cause slice at a time, since numpy reduces
+    and broadcasts over a short last axis several times slower."""
     K1 = u.shape[-1]
-    trends = np.empty((years.size, K1))
+    scores = u + v * trend[:, None, None, :]
+    top = scores[..., 0].copy()
+    for k in range(1, K1):
+        np.maximum(top, scores[..., k], out=top)
+    w = np.exp(scores - top[..., None])
+    total = w[..., 0].copy()
+    for k in range(1, K1):
+        total += w[..., k]
     for k in range(K1):
-        trends[:, k] = trend_time(years, phi[k], psi[k], t0)
-    scores = u[None, :, :, :] + v[None, :, :, :] * trends[:, None, None, :]
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    return w / w.sum(axis=-1, keepdims=True)
+        w[..., k] /= total
+    return w
 
 
 def _kappa_grid(years: np.ndarray, kappa: dict, age_midpoints, n_age_groups: int):
@@ -254,12 +266,12 @@ def death_prob_grid(years, params: TrendParams) -> np.ndarray:
     """q_{a,g}(t) for all cells at once; shape (T, A, 2)."""
     years = np.asarray(years, dtype=float)
     kap = _kappa_grid(years, params.kappa, params.age_midpoints, params.n_age_groups)
-    return _q_grid_arrays(
-        years, params.alpha, params.beta, params.zeta, params.eta, params.t0, kap
-    )
+    trend = _trend_grid(years, params.zeta, params.eta, params.t0)
+    return _q_from_trend(trend, params.alpha, params.beta, kap)
 
 
 def cause_weights_grid(years, params: TrendParams) -> np.ndarray:
     """w_{a,g,k}(t) for all cells at once; shape (T, A, 2, K+1)."""
     years = np.asarray(years, dtype=float)
-    return _w_grid_arrays(years, params.u, params.v, params.phi, params.psi, params.t0)
+    trend = _trend_grid(years, params.phi, params.psi, params.t0)
+    return _w_from_trend(trend, params.u, params.v)

@@ -82,3 +82,39 @@ def simulate_panel(rng, trends: TrendParams, sigma2, years, exposure):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+def reference_log_likelihood(panel: CohortPanel, params, sigma2_t=None) -> float:
+    """The gamma-mixed Poisson log-likelihood summed term by term from the
+    intensities rho = m q w, the textbook form the kernel is checked against;
+    ``sigma2_t`` has shape (T, K), default the fitted variances every year."""
+    from scipy import special
+
+    deaths = panel.deaths
+    q = death_prob_grid(panel.years, params.trends)
+    w = cause_weights_grid(panel.years, params.trends)
+    rho = panel.exposure[:, :, :, None] * q[:, :, :, None] * w
+    if sigma2_t is None:
+        sigma2_t = np.broadcast_to(params.sigma2, (panel.n_years, params.sigma2.size))
+    if np.any((rho == 0.0) & (deaths > 0)):
+        return -np.inf
+    n0 = deaths[:, :, :, 0]
+    rho0 = rho[:, :, :, 0]
+    log_rho0 = np.log(np.where(rho0 > 0.0, rho0, 1.0))
+    total = float((-rho0 + n0 * log_rho0 - special.gammaln(n0 + 1.0)).sum())
+    if deaths.shape[3] == 1:
+        return total
+    nk = deaths[:, :, :, 1:]
+    rhok = rho[:, :, :, 1:]
+    n_sum = nk.sum(axis=(1, 2))
+    rho_sum = rhok.sum(axis=(1, 2))
+    inv = 1.0 / sigma2_t
+    mixed = (
+        special.gammaln(inv + n_sum)
+        - special.gammaln(inv)
+        - inv * np.log(sigma2_t)
+        - (inv + n_sum) * np.log(inv + rho_sum)
+    )
+    log_rhok = np.log(np.where(rhok > 0.0, rhok, 1.0))
+    cell = nk * log_rhok - special.gammaln(nk + 1.0)
+    return total + float(mixed.sum()) + float(cell.sum())

@@ -316,6 +316,39 @@ class TestPanjerProperties:
         assert dist.truncation_mass == pytest.approx(1.0 - p_zero, abs=1e-12)
 
 
+class TestLatticeCeiling:
+    def test_lattice_above_the_ceiling_is_refused(self):
+        sev = LatticeSeverity.point(aggregation.MAX_LATTICE_POINTS, unit=0.5)
+        sector = SectorCompound(0, PoissonCount(1.0), sev, 1.0)
+        with pytest.raises(DataError, match=r"lattice needs .* points at unit 0\.5"):
+            aggregation.aggregate_sectors([sector])
+        with pytest.raises(DataError):
+            aggregation.aggregate_sectors([sector], n_max=aggregation.MAX_LATTICE_POINTS)
+
+    def test_largest_lattice_below_the_ceiling_runs(self):
+        sector = SectorCompound(0, PoissonCount(0.0), LatticeSeverity.point(1), 0.0)
+        n_max = aggregation.MAX_LATTICE_POINTS - 1
+        assert aggregation.aggregate_sectors([sector], n_max=n_max).pmf.size == n_max + 1
+
+    def test_payment_far_beyond_the_lattice_is_not_materialised(self):
+        # A payment index of 10^12 would take 8 TB as a dense array.
+        sev = LatticeSeverity(unit=1.0, pmf={1: 0.5, 10**12: 0.5})
+        dist = panjer_compound(SectorCompound(0, PoissonCount(2.0), sev, 2.0), 50)
+        assert dist.pmf[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert dist.pmf.sum() + dist.truncation_mass == pytest.approx(1.0, abs=1e-12)
+        assert dist.truncation_mass == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("far", [60, 10**12])
+    def test_one_atom_inside_the_lattice_keeps_its_probability(self, far):
+        # Payments 1 and ``far`` with probability 1/2 each under Poisson(2):
+        # up to n_max < far, S counts the unit claims, Poisson(1), with
+        # P(no far claim) = exp(-1) in front.
+        sev = LatticeSeverity(unit=1.0, pmf={1: 0.5, far: 0.5})
+        dist = panjer_compound(SectorCompound(0, PoissonCount(2.0), sev, 2.0), 50)
+        want = math.exp(-1.0) * stats.poisson.pmf(np.arange(51), 1.0)
+        np.testing.assert_allclose(dist.pmf, want, rtol=1e-12, atol=1e-300)
+
+
 class TestConvolution:
     def test_identity_with_point_mass(self):
         base = aggregate_loss(table1_portfolio(True), [], unit=1.0)

@@ -109,6 +109,16 @@ class TestBuildPortfolio:
         assert h.death_prob == pytest.approx(0.05, rel=1e-12)
         assert h.payment.pmf == {1: 1.0}
 
+    def test_negative_count_is_a_data_error(self):
+        cells = [CellSpec(age_group=0, gender="f", count=3), CellSpec(age_group=0, gender="m", count=-5)]
+        with pytest.raises(DataError, match="cell 1: negative count -5"):
+            build_portfolio(cells, flat_trends(), 2000.0)
+
+    def test_zero_count_cells_are_left_out(self):
+        cells = [CellSpec(age_group=0, gender="f", count=0), CellSpec(age_group=0, gender="m", count=2)]
+        pf = build_portfolio(cells, flat_trends(), 2000.0)
+        assert len(pf) == 2 and len(pf.holders) == 1
+
     def test_unknown_age_group(self):
         with pytest.raises(DataError):
             build_portfolio([CellSpec(age_group=5, gender="f", count=1)], flat_trends(), 2000.0)

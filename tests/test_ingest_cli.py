@@ -248,6 +248,42 @@ class TestCli:
         assert summary["mean"] == 0.0
         assert summary["quantiles"]["0.5"] == 0.0
 
+    def _with_portfolio(self, ws, rows, unit=None):
+        """A copy of the workspace config whose portfolio holds ``rows``."""
+        path = os.path.join(ws, "other_portfolio.csv")
+        _write_csv(path, ["age_group", "gender", "count", "payment"], rows)
+        text = open(os.path.join(ws, "ecrplus.ini")).read().replace(
+            os.path.join(ws, "portfolio.csv"), path)
+        if unit is not None:
+            text = text.replace("unit = 1.0", f"unit = {unit}", 1)
+        cfg = os.path.join(ws, "other.ini")
+        open(cfg, "w").write(text)
+        return cfg, path
+
+    @pytest.mark.parametrize("command", ["aggregate", "scenario"])
+    def test_negative_count_is_a_data_error(self, cli_workspace, capsys, command):
+        ws = str(cli_workspace)
+        cfg, path = self._with_portfolio(ws, [[0, "f", 50, 10], [1, "m", -5, 10]])
+        assert main([command, "-c", cfg, "-o", os.path.join(ws, "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3" in err and "negative count -5" in err
+
+    def test_scenario_without_policyholders_is_a_data_error(self, cli_workspace, capsys):
+        ws = str(cli_workspace)
+        cfg, path = self._with_portfolio(ws, [[0, "f", 0, 10], [1, "m", 0, 10]])
+        assert main(["scenario", "-c", cfg, "-o", os.path.join(ws, "out")]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "no policyholders" in err
+        assert "unknown cause" not in err
+
+    @pytest.mark.parametrize("unit, payment", [(1e-9, 10), (1.0, 1e12)])
+    def test_lattice_above_the_ceiling_is_a_data_error(self, cli_workspace, capsys, unit, payment):
+        ws = str(cli_workspace)
+        cfg, _ = self._with_portfolio(ws, [[0, "f", 50, payment]], unit=unit)
+        assert main(["aggregate", "-c", cfg, "-o", os.path.join(ws, "out")]) == 2
+        err = capsys.readouterr().err
+        assert "lattice needs" in err and f"unit {unit:g}" in err and "33,554,432" in err
+
     def test_exit_codes(self, tmp_path):
         assert main(["aggregate", "-c", str(tmp_path / "missing.ini"), "-o", str(tmp_path)]) == 2
         assert main(["no-such-command"]) == 1

@@ -22,7 +22,7 @@ from ecrplus.estimation import (
 )
 from ecrplus.trends import TrendParams
 
-from conftest import flat_trends, realistic_trends, simulate_panel
+from conftest import flat_trends, realistic_trends, reference_log_likelihood, simulate_panel
 
 
 def _k0_panel(rng, alpha=-2.0, m=200_000, T=8):
@@ -179,6 +179,17 @@ class TestChainSummaries:
         ic = information_criteria(panel, chain)
         assert ic["aic"] < ic["bic"]
         assert np.isfinite(ic["dic"])
+        # The same criteria from the textbook likelihood, record by record.
+        lls = np.array([reference_log_likelihood(panel, chain.param_vector(i))
+                        for i in range(len(chain))])
+        ll_mean = reference_log_likelihood(panel, chain.mean_param_vector())
+        d_bar = float(np.mean(-2.0 * lls))
+        k = len(chain.names)
+        expected = {"aic": 2.0 * k - 2.0 * lls.max(),
+                    "bic": k * np.log(panel.deaths.size) - 2.0 * lls.max(),
+                    "dic": 2.0 * d_bar + 2.0 * ll_mean}
+        for name, value in expected.items():
+            assert ic[name] == pytest.approx(value, rel=1e-12)
 
     def test_cv_prior_scale_smoke(self, rng):
         panel, tr = _k0_panel(rng, T=5, m=2000)
