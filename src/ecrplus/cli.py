@@ -231,10 +231,13 @@ def _panel_params(args, panel: ingest.CohortPanel) -> estimation.ParamVector:
     return params
 
 
-def _posterior_sample(args, params: estimation.ParamVector):
+def _posterior_sample(args, params: estimation.ParamVector, max_samples: int | None = None):
     """The chain file given with ``--chain``, checked against the
-    parameter file's free blocks, or the parameter vector alone."""
-    return estimation.load_chain(args.chain, template=params) if args.chain else [params]
+    parameter file's free blocks, or the parameter vector alone.  With
+    ``max_samples`` only the records a command draws are loaded."""
+    if not args.chain:
+        return [params]
+    return estimation.load_chain(args.chain, template=params, max_samples=max_samples)
 
 
 def save_params(params: estimation.ParamVector, path: str):
@@ -288,12 +291,12 @@ def _book(args, cfg, section: str):
 
 
 def _write_distribution_csv(dist: aggregation.LossDistribution, path: str):
-    cdf = dist.cdf()
+    n = np.arange(dist.pmf.size)
+    rows = zip(n.tolist(), (dist.offset + n * dist.unit).tolist(),
+               dist.pmf.tolist(), dist.cdf().tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value", "pmf", "cdf"])
-        for n, p in enumerate(dist.pmf):
-            w.writerow([n, f"{dist.offset + n * dist.unit:.12g}", f"{p:.12g}", f"{cdf[n]:.12g}"])
+        fh.write("index,value,pmf,cdf\r\n")
+        fh.writelines("%d,%.12g,%.12g,%.12g\r\n" % row for row in rows)
 
 
 def _dist_summary(dist: aggregation.LossDistribution) -> dict:
@@ -542,7 +545,7 @@ def cmd_forecast(args) -> int:
     fcfg = forecast.ForecastConfig(
         base_year=base_year, horizon=horizon, inflation=sec["d"], population=population
     )
-    draws = estimation.posterior_draws(_posterior_sample(args, params), max_samples)
+    draws = estimation.posterior_draws(_posterior_sample(args, params, max_samples), max_samples)
     years = list(range(base_year + 1, horizon + 1))
     with open(os.path.join(args.out, "forecast_bands.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -636,7 +639,7 @@ def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     panel = panel_from_config(cfg)
     params = _panel_params(args, panel)
-    chain = _posterior_sample(args, params)
+    chain = _posterior_sample(args, params, validation.MOMENT_BOUNDS_DRAWS)
     report = {}
 
     mb = validation.moment_bounds_test(panel, params, chain)

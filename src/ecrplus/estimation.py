@@ -663,16 +663,23 @@ class McmcChain:
         return out
 
 
+def _evenly_spaced(n: int, k: int | None) -> np.ndarray:
+    """Indices of at most ``k`` of ``n`` items spread evenly, first and last
+    included; all of them when ``k`` is None or there are no more."""
+    if k is None:
+        return np.arange(n)
+    return np.unique(np.linspace(0, n - 1, min(k, n)).astype(int))
+
+
 def posterior_draws(chain: McmcChain | list[ParamVector], max_samples: int) -> list[ParamVector]:
     """At most ``max_samples`` draws spread evenly over a posterior sample,
     first and last included; all of them when there are no more.
 
     Only the chosen records of a chain become parameter vectors.
     """
-    n = len(chain)
-    if n == 0:
+    if len(chain) == 0:
         raise DataError("empty chain")
-    idx = np.unique(np.linspace(0, n - 1, min(max_samples, n)).astype(int))
+    idx = _evenly_spaced(len(chain), max_samples)
     if isinstance(chain, McmcChain):
         return [chain.param_vector(i) for i in idx]
     return [chain[i] for i in idx]
@@ -791,6 +798,8 @@ class _StepStreams:
 _CHAIN_HEADER = "#ecrplus-chain v1"
 # Header fields of a record file; a resumed run must match all of them.
 _CHAIN_META = ("seed", "chain", "n_steps", "burn_in", "likelihood", "blocks")
+# The bytes of a record line: %.17g numbers, commas and the line end.
+_RECORD_CHARS = b"0123456789.eE+-,\n"
 
 
 def _state_logpost(panel: CohortPanel, template: ParamVector, prior: PriorSpec, likelihood: str):
@@ -959,14 +968,18 @@ def mcmc_sample(
     return chain
 
 
-def _read_records(path: str) -> tuple[dict, list[str], np.ndarray]:
-    """Header metadata, column names and (records, columns) values of a
-    chain record file.
+def _scan_records(path: str) -> tuple[dict, list[str], np.ndarray, np.ndarray]:
+    """Header metadata, column names, and each record's byte offset and
+    step, from one streaming pass over a chain record file.
 
-    Every record is written as one newline-terminated line, so a file whose
-    last byte is not a newline holds a write that was cut short.
+    The pass checks every record's shape and characters but parses only
+    its step.  Every record is written as one newline-terminated line of
+    finite numbers, so a file whose last byte is not a newline holds a
+    write that was cut short, and a letter (as in ``nan`` or ``inf``) is
+    damage.
     """
-    with open(path, "rb") as fh:
+    # The scan reads in large blocks; the parse seeks, so it reads small ones.
+    with open(path, "rb", buffering=1 << 20) as fh:
         header = fh.readline().decode("utf-8", "replace")
         if not header.startswith(_CHAIN_HEADER):
             raise DataError(f"{path} is not a chain record file")
@@ -977,56 +990,89 @@ def _read_records(path: str) -> tuple[dict, list[str], np.ndarray]:
         if not isinstance(meta, dict) or any(k not in meta for k in _CHAIN_META):
             raise DataError(f"{path}: damaged chain header")
         columns = fh.readline().decode("utf-8", "replace").strip().split(",")
-        start = fh.tell()
-        if fh.seek(0, os.SEEK_END) > start:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
+        commas = len(columns) - 1
+        offsets, steps = [], []
+        at = fh.tell()
+        for line in fh:
+            if not line.endswith(b"\n"):
                 raise DataError(f"{path}: the last record is torn (no line end)")
-        fh.seek(start)
-        with warnings.catch_warnings():
-            # A file without records is valid here: a resume restarts it.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            if line.count(b",") != commas:
+                raise DataError(
+                    f"{path}: record {len(steps) + 1} has {line.count(b',') + 1} fields, "
+                    f"the column row names {len(columns)}"
+                )
+            if line.translate(None, _RECORD_CHARS):
+                raise DataError(
+                    f"{path}: record {len(steps) + 1} holds a character "
+                    "that is not part of a finite number"
+                )
             try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-            except ValueError as exc:
-                raise DataError(f"{path}: damaged chain records ({exc})") from None
-    if not data.size:
-        return meta, columns, np.empty((0, len(columns)))
-    if data.shape[1] != len(columns):
-        raise DataError(
-            f"{path}: records have {data.shape[1]} fields, the column row names {len(columns)}"
-        )
-    return meta, columns, data
+                steps.append(int(line[: line.index(b",")]))
+            except ValueError:
+                raise DataError(f"{path}: record {len(steps) + 1} has no integer step") from None
+            offsets.append(at)
+            at += len(line)
+    return meta, columns, np.array(offsets, dtype=np.int64), np.array(steps, dtype=np.int64)
+
+
+def _parse_records(path: str, offsets: np.ndarray, chosen: np.ndarray, n_columns: int) -> np.ndarray:
+    """(records, columns) values of the scanned records ``chosen``, an
+    increasing array of record indices, parsed by one ``np.loadtxt``.
+    ``offsets`` are the byte offsets of the scan's records; a run of
+    consecutive records is read as one block, any other choice one
+    record at a time."""
+    if not chosen.size:
+        return np.empty((0, n_columns))
+    with open(path, "rb") as fh:
+
+        def one_by_one():
+            for at in offsets[chosen]:
+                fh.seek(at)
+                yield fh.readline()
+
+        block = chosen[-1] - chosen[0] == chosen.size - 1
+        if block:
+            fh.seek(offsets[chosen[0]])
+        try:
+            return np.loadtxt(fh if block else one_by_one(), delimiter=",", ndmin=2,
+                              comments=None, max_rows=chosen.size)
+        except ValueError as exc:
+            raise DataError(f"{path}: damaged chain records ({exc})") from None
 
 
 def _resume_point(path: str, meta: dict, init: ParamVector, blocks) -> tuple[dict, dict, int] | None:
     """State, scales and next step from the last record, or None if the
     file holds no records yet (restart from scratch).  The file's header
     must match ``meta``, the metadata of the run being resumed."""
-    found, _, data = _read_records(path)
+    found, columns, offsets, _ = _scan_records(path)
     differ = [k for k in _CHAIN_META if found[k] != meta[k]]
     if differ:
         raise DataError(
             f"{path} was written by another run ({', '.join(differ)} differ); "
             "resume with the same settings or start a fresh run"
         )
-    if not len(data):
+    if not offsets.size:
         return None
-    row = data[-1]
+    (row,) = _parse_records(path, offsets, np.array([offsets.size - 1]), len(columns))
     n_blocks = len(blocks)
     scales = {b: float(row[2 + i]) for i, b in enumerate(blocks)}
     state = _unflatten(init, row[2 + n_blocks :]).to_state()
     return state, scales, int(row[0]) + 1
 
 
-def load_chain(path: str, template: ParamVector) -> McmcChain:
+def load_chain(path: str, template: ParamVector, max_samples: int | None = None) -> McmcChain:
     """Load a streamed chain record file written by :func:`mcmc_sample`.
 
+    The records from step ``burn_in`` on form the chain.  With
+    ``max_samples``, only the records that :func:`posterior_draws` would
+    pick from that chain are parsed and returned, so drawing
+    ``max_samples`` from the result picks every record; ``None`` returns
+    them all.  Every record is checked for shape and characters either way.
     The file's parameter columns must be the free blocks of ``template``,
     in order; a chain written with other free blocks is a :class:`DataError`.
     """
-    meta, columns, data = _read_records(path)
-    if not len(data):
+    meta, columns, offsets, steps = _scan_records(path)
+    if not offsets.size:
         raise DataError(f"{path} holds no chain records")
     n_scales = sum(1 for c in columns if c.startswith("scale."))
     names = columns[2 + n_scales :]
@@ -1034,11 +1080,12 @@ def load_chain(path: str, template: ParamVector) -> McmcChain:
         raise DataError(
             f"{path}: the chain's parameter columns are not the free blocks of the parameters"
         )
-    keep = data[:, 0].astype(int) >= meta["burn_in"]
+    kept = np.flatnonzero(steps >= meta["burn_in"])
+    data = _parse_records(path, offsets, kept[_evenly_spaced(kept.size, max_samples)], len(columns))
     return McmcChain(
         names=names,
-        samples=data[keep, 2 + n_scales :],
-        log_posterior=data[keep, 1],
+        samples=data[:, 2 + n_scales :],
+        log_posterior=data[:, 1],
         acceptance={},
         template=template,
     )

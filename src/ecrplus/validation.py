@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# Posterior-predictive draws behind each moment band.
+MOMENT_BOUNDS_DRAWS = 1000
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one validation procedure over many cells or pairs."""
@@ -88,7 +92,7 @@ def moment_bounds_test(
     chain: McmcChain | list[ParamVector],
     level: float = 0.10,
     seed: int = 0,
-    n_draws: int = 1000,
+    n_draws: int = MOMENT_BOUNDS_DRAWS,
 ) -> TestReport:
     """Compare sample variances and same-cause covariances of the rescaled
     counts with posterior-predictive quantile bands.
@@ -120,9 +124,9 @@ def moment_bounds_test(
     rng = np.random.default_rng(seed)
     var_draws = np.empty((n_draws, A, G, K1))
     cov_draws = np.empty((n_draws, iu.size, K1))
+    moments = [transformed_moments(panel, pv) for pv in samples]
     for d in range(n_draws):
-        pv = samples[d % len(samples)]
-        rho_T, _, s2 = transformed_moments(panel, pv)
+        rho_T, _, s2 = moments[d % len(moments)]
         sim = _simulate_transformed(rng, rho_T, s2, T)
         var_draws[d] = sim.var(axis=0, ddof=1)
         cov_draws[d] = pair_covariances(sim)

@@ -10,10 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecrplus import estimation
-from ecrplus.cli import CONFIG, main, params_from_dict, params_to_dict
+from ecrplus.cli import CONFIG, load_params, main, params_from_dict, params_to_dict
 from ecrplus.errors import DataError
 from ecrplus.estimation import McmcChain, ParamVector
 from ecrplus.ingest import IngestSpec, ingest, write_panel
+from ecrplus.validation import MOMENT_BOUNDS_DRAWS
 
 from conftest import flat_trends, realistic_trends, simulate_panel
 
@@ -589,6 +590,25 @@ def _damage_chain(text: str, damage: str) -> str:
     return "".join(lines[:-1]) + ",".join(last) + "\n"
 
 
+def _long_chain(ws, n_records: int) -> tuple[str, str, str, str]:
+    """Config, output directory, parameter file and a chain file of
+    ``n_records`` records repeated from a short fit.  Each record's
+    log-posterior field, which no report uses, holds its record number."""
+    cfg = os.path.join(ws, "ecrplus.ini")
+    out = os.path.join(ws, "out")
+    assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
+    params = os.path.join(out, "params_mom.json")
+    assert main(["fit-mcmc", "-c", cfg, "-o", out, "--params", params]) == 0
+    with open(os.path.join(out, "chain_0.csv")) as fh:
+        lines = fh.readlines()
+    records = lines[2:] * (n_records // len(lines[2:]) + 1)
+    records = [re.sub(r"(?<=,)[^,]*", str(i), r, count=1) for i, r in enumerate(records)]
+    long_chain = os.path.join(ws, "long.csv")
+    with open(long_chain, "w") as fh:
+        fh.writelines(lines[:2] + records[:n_records])
+    return cfg, out, params, long_chain
+
+
 class TestChainFiles:
     @pytest.mark.parametrize(
         "damage", ["header-only", "torn", "short", "unparsable", "renamed", "columns"]
@@ -609,31 +629,50 @@ class TestChainFiles:
         assert main(argv) == 2
 
     def test_forecast_builds_only_the_draws_it_uses(self, cli_workspace, monkeypatch):
-        ws = str(cli_workspace)
-        cfg = os.path.join(ws, "ecrplus.ini")
-        out = os.path.join(ws, "out")
-        assert main(["fit-mom", "-c", cfg, "-o", out]) == 0
-        params = os.path.join(out, "params_mom.json")
-        assert main(["fit-mcmc", "-c", cfg, "-o", out, "--params", params]) == 0
-        with open(os.path.join(out, "chain_0.csv")) as fh:
-            lines = fh.readlines()
         n_records, max_samples = 3000, 5  # max_samples as in the workspace config
-        records = lines[2:] * (n_records // len(lines[2:]) + 1)
-        long_chain = os.path.join(ws, "long.csv")
-        with open(long_chain, "w") as fh:
-            fh.writelines(lines[:2] + records[:n_records])
-        built = []
-        original = McmcChain.param_vector
+        cfg, out, params, long_chain = _long_chain(cli_workspace, n_records)
+        loaded, built = [], []
+        load_chain, param_vector = estimation.load_chain, McmcChain.param_vector
+
+        def loading(*args, **kwargs):
+            loaded.append(load_chain(*args, **kwargs))
+            return loaded[-1]
 
         def counting(self, i):
             built.append(i)
-            return original(self, i)
+            return param_vector(self, i)
 
+        monkeypatch.setattr(estimation, "load_chain", loading)
         monkeypatch.setattr(McmcChain, "param_vector", counting)
         argv = ["forecast", "-c", cfg, "-o", out, "--params", params, "--chain", long_chain]
         assert main(argv) == 0
+        (chain,) = loaded
+        assert 0 < len(chain) <= max_samples
+        assert chain.log_posterior[0] == 0 and chain.log_posterior[-1] == n_records - 1
         assert 0 < len(built) <= max_samples
-        assert built[0] == 0 and built[-1] == n_records - 1
+
+    @pytest.mark.parametrize("damage", ["ragged", "letter", "nan", "inf", "torn"])
+    def test_damage_in_a_record_not_drawn_is_a_data_error(self, cli_workspace, damage):
+        cfg, out, params, long_chain = _long_chain(cli_workspace, 3000)
+        template = load_params(params)
+        for draws in (5, MOMENT_BOUNDS_DRAWS):  # forecast's and validate's
+            drawn = estimation.load_chain(long_chain, template, max_samples=draws)
+            assert 1 not in drawn.log_posterior
+        with open(long_chain) as fh:
+            lines = fh.readlines()
+        fields = lines[3].rstrip("\n").split(",")  # record 1, drawn by neither
+        if damage == "ragged":
+            fields = fields[:-1]
+        elif damage == "torn":
+            lines[-1] = lines[-1][:-7]
+        else:
+            fields[-1] = {"letter": "0.12x4", "nan": "nan", "inf": "-inf"}[damage]
+        lines[3] = ",".join(fields) + "\n"
+        with open(long_chain, "w") as fh:
+            fh.writelines(lines)
+        for command in ("forecast", "validate"):
+            argv = [command, "-c", cfg, "-o", out, "--params", params, "--chain", long_chain]
+            assert main(argv) == 2, command
 
     def test_resume_with_other_settings_is_a_data_error(self, cli_workspace):
         ws = str(cli_workspace)

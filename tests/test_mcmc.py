@@ -10,6 +10,7 @@ from ecrplus.estimation import (
     McmcConfig,
     ParamVector,
     PriorSpec,
+    _flatten,
     cv_prior_scale,
     information_criteria,
     load_chain,
@@ -19,6 +20,7 @@ from ecrplus.estimation import (
     mcmc_sample,
     metropolis_accept,
     mom_fit,
+    posterior_draws,
 )
 from ecrplus.trends import TrendParams
 
@@ -241,3 +243,29 @@ class TestChainRecords:
                                       values[:, 0].view(np.uint64))
         np.testing.assert_array_equal(chain.samples.view(np.uint64),
                                       values[:, n_fields - n_params:].view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_records_are_the_draws_of_a_full_load(self, record_layout, data):
+        # load_chain(max_samples=k) parses only what posterior_draws(k) picks.
+        init, head, path = record_layout
+        n = data.draw(st.integers(1, 40), label="records")
+        burn_in = data.draw(st.integers(0, n), label="leading records before burn_in")
+        k = data.draw(st.integers(1, 45), label="max_samples")
+        values = data.draw(hnp.arrays(np.float64, (n, len(head[1].split(",")) - 1),
+                                      elements=_FINITE))
+        with open(path, "w") as fh:
+            fh.write(head[0].replace('"burn_in": 1,', f'"burn_in": {burn_in},'))
+            fh.write(head[1])
+            for step, row in enumerate(values):
+                fh.write(",".join([str(step)] + [f"{x:.17g}" for x in row]) + "\n")
+        full = load_chain(path, template=init)
+        part = load_chain(path, template=init, max_samples=k)
+        assert len(full) == n - burn_in
+        if not len(full):
+            assert not len(part)
+            return
+        expected = np.stack([_flatten(pv) for pv in posterior_draws(full, k)])
+        assert np.array_equal(part.samples.view(np.uint64), expected.view(np.uint64))
+        drawn = np.stack([_flatten(pv) for pv in posterior_draws(part, k)])
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
