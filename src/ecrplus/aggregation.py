@@ -17,8 +17,11 @@ poison it.
 
 Cost follows the useful work.  The recursion computes a block of values per
 numpy step: lags reaching back before the block are one gather over the
-nonzero atoms, lags inside it (only when the smallest payment index is below
-the block length) one unit lower-triangular solve.  Sector laws are
+nonzero atoms.  When the smallest payment index is below the block length,
+the lags inside the block are one banded triangular solve of the
+recursion multiplied by n, whose band is a fixed linear function of the
+block's start; blocks are then 512 values long when the severity spans
+fewer than 128 points, else 128.  Sector laws are
 convolved directly below 1,024 points and through the real FFT above; the
 FFT's rounding error is about 1e-16 of the peak, the same floor below which
 entries are trimmed into the tail before convolving.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtbtrs
 
 from .domain import LatticeSeverity, Portfolio, RiskFactorSpec
 from .errors import DataError, NumericalError
@@ -49,6 +52,7 @@ __all__ = [
     "quantile",
     "tv_distance",
     "aggregate_sectors",
+    "aggregate_sector_sets",
     "aggregate_loss",
     "mixture",
     "model_moments",
@@ -59,8 +63,10 @@ __all__ = [
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 
-# Blocked Panjer: blocks hold _BLOCK values, or m (the smallest payment
-# index) if larger, with at most _GATHER_MAX gathered window entries.
+# Blocked Panjer: blocks hold m (the smallest payment index) values when
+# m >= _BLOCK, else 4 * _BLOCK when the severity spans fewer than _BLOCK
+# points and _BLOCK otherwise, with at most _GATHER_MAX gathered window
+# entries.
 _BLOCK = 128
 _GATHER_MAX = 1 << 20
 
@@ -363,21 +369,40 @@ def panjer_compound(sector: SectorCompound, n_max: int) -> LossDistribution:
 
     # B values per numpy step, m the smallest payment index.  Lags reaching
     # back before the block are one gather s[idx + n] over the nonzero atoms
-    # (the block's own entries still read zero); lags inside it, only when
-    # m < B, form the unit lower-triangular system (I - L) g = known with
-    # L[r, i] = (a + b (r-i)/(n+r)) f_{r-i}, all positive: no cancellation.
+    # (the block's own entries still read zero).  Lags inside it, only when
+    # m < B, are solved for: multiplied by n the recursion reads
+    #     n g_n = sum_j (a n + b j) f_j g_{n-j},
+    # so a block starting at n0 solves a lower band system whose column i
+    # holds n0 + i on the diagonal and -(a (n0 + i) + (a + b) j) f_j at lag
+    # j.  In LAPACK band storage that is n0 P + Q with P and Q fixed per
+    # call.  a n + b j = a (n - j) + (a + b) j >= 0 (a + b = a r for the
+    # negative binomial), so every off-diagonal is <= 0 and forward
+    # substitution adds only nonnegative terms: no cancellation.  Rows
+    # r >= J have every lag inside the block and gather nothing.
     m = int(atoms[0]) + 1
-    B = max(1, min(max(m, _BLOCK), _GATHER_MAX // atoms.size))
+    # A narrow band (J < _BLOCK) makes the solve cheap per value, so its
+    # blocks are four times longer; wide bands keep _BLOCK.
+    if m >= _BLOCK:
+        B = m
+    else:
+        B = 4 * _BLOCK if J < _BLOCK else _BLOCK
+    B = max(1, min(B, _GATHER_MAX // atoms.size))
     j = atoms + 1
     idx = (J - j)[None, :] + np.arange(B)[:, None]
     coef = np.stack([a * f_pos[atoms], j * f_pos[atoms]], axis=1)
-    b_over_n = b / np.arange(1.0, n_max + B)
-    if m < B:
-        # -L = -a F - diag(b / (n + r)) (lag F) with F the Toeplitz matrix
-        # F[r, i] = f_{r-i}, zero on and above the diagonal.
-        lag = np.subtract.outer(np.arange(B), np.arange(B))
-        neg_f = -np.concatenate([[0.0], f_pos[: B - 1], np.zeros(B)])[np.maximum(lag, 0)]
-        neg_af, neg_lag_f = a * neg_f, lag * neg_f
+    banded = m < B
+    if banded:
+        kd = min(J, B - 1)
+        lag = np.arange(kd + 1.0)[:, None]
+        col = np.arange(float(B))
+        neg_f = -np.concatenate([[0.0], f_pos[:kd]])[:, None]
+        P = np.asfortranarray(np.broadcast_to(a * neg_f, (kd + 1, B)))
+        P[0] = 1.0
+        Q = np.asfortranarray(neg_f * (a * col + (a + b) * lag))
+        Q[0] = col
+        band = np.empty_like(P)
+    else:
+        b_over_n = b / np.arange(1.0, n_max + B)
 
     # s[J + n] holds g_n / (exp(log_g0) * _RESCALE ** shifts[n]); the first J
     # slots are zero padding and the last block may run past n_max.  Integer
@@ -404,14 +429,19 @@ def panjer_compound(sector: SectorCompound, n_max: int) -> LossDistribution:
         w = B
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
-                t = s[idx[:w] + n] @ coef
-                rows = b_over_n[n - 1 : n - 1 + w]
-                vals = t[:, 0] + rows * t[:, 1]
-                if m < w:
-                    lower = neg_af[:w, :w] + rows[:, None] * neg_lag_f[:w, :w]
-                    vals = solve_triangular(
-                        lower, vals, lower=True, unit_diagonal=True, check_finite=False
-                    )
+                if banded:
+                    k = min(w, J)
+                    t = s[idx[:k] + n] @ coef
+                    rhs = np.zeros(w)
+                    rhs[:k] = (n + col[:k]) * t[:, 0] + b * t[:, 1]
+                    np.multiply(P[:, :w], n, out=band[:, :w])
+                    band[:, :w] += Q[:, :w]
+                    vals, info = dtbtrs(band[:, :w], rhs, uplo="L")
+                    if info:
+                        raise NumericalError(f"banded Panjer solve failed (LAPACK info {info})")
+                else:
+                    t = s[idx[:w] + n] @ coef
+                    vals = t[:, 0] + b_over_n[n - 1 : n - 1 + w] * t[:, 1]
             if np.isfinite(vals).all():
                 break
             if w == 1:
@@ -592,6 +622,41 @@ def aggregate_sectors(sectors: list[SectorCompound], n_max: int | None = None) -
     standard deviations, rounded up; a lattice of more than
     ``MAX_LATTICE_POINTS`` points is a :class:`DataError`.
     """
+    return aggregate_sector_sets([sectors], n_max)[0]
+
+
+def aggregate_sector_sets(
+    laws: list[list[SectorCompound]], n_max: int | None = None
+) -> list[LossDistribution]:
+    """:func:`aggregate_sectors` for each list of sectors in ``laws``.
+
+    A sector object that several laws hold runs through
+    :func:`panjer_compound` once, at the longest of their lattices, and each
+    law keeps the prefix on its own lattice.  The recursion never looks
+    ahead, so that prefix is bit-identical to a run on the shorter lattice,
+    provided both lattices cover the sector's largest payment index (the
+    run then reads the same payments); laws share a run only then.
+    """
+    bounds = [_lattice_bound(sectors, n_max) for sectors in laws]
+
+    def key(s: SectorCompound, n: int) -> tuple:
+        return id(s), None if n >= s.severity.max_index else n
+
+    # Laws in order of decreasing lattice: a sector's first run is its longest.
+    runs: dict[tuple, LossDistribution] = {}
+    for i in sorted(range(len(laws)), key=lambda i: -bounds[i]):
+        for s in laws[i]:
+            k = key(s, bounds[i])
+            if k not in runs:
+                runs[k] = panjer_compound(s, bounds[i])
+    return [
+        convolve_sectors([runs[key(s, n)].truncated(n) for s in sectors], n_max=n)
+        for sectors, n in zip(laws, bounds)
+    ]
+
+
+def _lattice_bound(sectors: list[SectorCompound], n_max: int | None) -> int:
+    """``n_max``, or the sum's mean plus ``N_SD`` standard deviations."""
     if n_max is None:
         mean = sum(s.mean() for s in sectors)
         var = sum(s.var() for s in sectors)
@@ -601,9 +666,7 @@ def aggregate_sectors(sectors: list[SectorCompound], n_max: int | None = None) -
             f"the lattice needs {n_max + 1:,.0f} points at unit {sectors[0].severity.unit:g}, "
             f"more than the {MAX_LATTICE_POINTS:,} allowed; choose a larger unit"
         )
-    n_max = int(math.ceil(n_max))
-    parts = [panjer_compound(s, n_max) for s in sectors]
-    return convolve_sectors(parts, n_max=n_max)
+    return int(math.ceil(n_max))
 
 
 def aggregate_loss(

@@ -586,8 +586,10 @@ def cmd_scenario(args) -> int:
     if not pf.holders:
         raise DataError(f"{sec['portfolio']}: no policyholders (no rows, or every count is 0)")
     unit, fixed = sec["unit"], sec["factors"]
-    cond = solvency.scenario_loss(pf, rf, solvency.Scenario(fixed_factors=fixed), unit=unit)
-    base = aggregation.aggregate_loss(pf, rf, unit=unit)
+    sectors = aggregation.build_sectors(pf, rf, unit)
+    cond, base = aggregation.aggregate_sector_sets(
+        [solvency.scenario_sectors(sectors, solvency.Scenario(fixed_factors=fixed)), sectors]
+    )
     report = {"scenario": _dist_summary(cond), "unconditional": _dist_summary(base)}
     try:
         total = pf.total_survival_payment()

@@ -22,7 +22,7 @@ import numpy as np
 from .aggregation import LossDistribution, aggregate_loss, mixture, quantile
 from .domain import LatticeSeverity, Policyholder, Portfolio, RiskFactorSpec
 from .errors import DataError
-from .estimation import McmcChain, ParamVector, log_likelihood_inflated, posterior_draws
+from .estimation import McmcChain, ParamVector, _finite_state, _loglik_kernel, posterior_draws
 from .trends import TrendParams, cause_weights, death_prob
 
 # Life tables close with q = 1 at this age; life expectancies and the
@@ -182,12 +182,19 @@ def estimate_inflation(panel, params: ParamVector, base_year: int, grid=None) ->
     """
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
-    years = np.asarray(panel.years)
-    ahead = np.maximum(years - base_year, 0)
-
-    def ll(d):
-        s2 = params.sigma2[None, :] * (1.0 + d * ahead[:, None]) ** 2
-        return log_likelihood_inflated(panel, params, s2)
-
-    values = [ll(float(d)) for d in grid]
+    values = _inflation_profile(panel, params, base_year, grid)
     return float(grid[int(np.argmax(values))])
+
+
+def _inflation_profile(panel, params: ParamVector, base_year: int, grid) -> list[float]:
+    """The log-likelihood at each d in ``grid``: one kernel, whose q and w
+    pieces are computed once and reused, as only sigma2 changes."""
+    ahead = np.maximum(np.asarray(panel.years) - base_year, 0)
+    loglik = _loglik_kernel(panel, params, "poisson")
+    state = _finite_state(params)
+    pieces = loglik(state)[1]
+    values = []
+    for d in grid:
+        state["sigma2"] = params.sigma2[None, :] * (1.0 + float(d) * ahead[:, None]) ** 2
+        values.append(loglik(state, pieces, "sigma2")[0])
+    return values

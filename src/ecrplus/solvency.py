@@ -38,6 +38,7 @@ __all__ = [
     "Scenario",
     "DiscountCurve",
     "TermPolicy",
+    "scenario_sectors",
     "scenario_loss",
     "term_life_bel",
     "delta_bof_distribution",
@@ -90,6 +91,26 @@ class DiscountCurve:
         )
 
 
+def scenario_sectors(sectors: list[SectorCompound], scenario: Scenario) -> list[SectorCompound]:
+    """The sectors with some factors pinned to fixed realisations.
+
+    Pinned sectors become conditional Poisson(mu_k lambda_k) compounds;
+    free sectors are returned as the same objects, so that
+    :func:`aggregate_sector_sets` runs each of them once when the
+    unconditional law is computed alongside.
+    """
+    K = len(sectors) - 1
+    for k in scenario.fixed_factors:
+        if not 1 <= k <= K:
+            raise DataError(f"scenario fixes unknown cause {k}")
+    return [
+        replace(s, count_law=PoissonCount(s.intensity * scenario.fixed_factors[s.k]))
+        if s.k in scenario.fixed_factors and s.intensity != 0.0
+        else s
+        for s in sectors
+    ]
+
+
 def scenario_loss(
     portfolio: Portfolio,
     rf: list[RiskFactorSpec],
@@ -97,23 +118,10 @@ def scenario_loss(
     unit: float = 1.0,
     n_max: int | None = None,
 ) -> LossDistribution:
-    """Distribution of S with some factors pinned to fixed realisations.
-
-    Pinned sectors become conditional Poisson(mu_k lambda_k) compounds;
-    free sectors keep their negative binomial count laws.
-    """
-    K = portfolio.n_causes - 1
-    for k in scenario.fixed_factors:
-        if not 1 <= k <= K:
-            raise DataError(f"scenario fixes unknown cause {k}")
-    sectors = build_sectors(portfolio, rf, unit)
-    conditioned = [
-        replace(s, count_law=PoissonCount(s.intensity * scenario.fixed_factors[s.k]))
-        if s.k in scenario.fixed_factors and s.intensity != 0.0
-        else s
-        for s in sectors
-    ]
-    return aggregate_sectors(conditioned, n_max)
+    """Distribution of S with some factors pinned to fixed realisations
+    (see :func:`scenario_sectors`)."""
+    sectors = scenario_sectors(build_sectors(portfolio, rf, unit), scenario)
+    return aggregate_sectors(sectors, n_max)
 
 
 def gamma_mixture_grid(sigma_sq: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

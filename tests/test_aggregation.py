@@ -315,6 +315,61 @@ class TestPanjerProperties:
         assert not dist.pmf[1:].any()
         assert dist.truncation_mass == pytest.approx(1.0 - p_zero, abs=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p0=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+        m=st.integers(1, 140),
+        first=st.floats(0.01, 1.0),
+        rest=_atom_probs(0, max_size=150),
+        count=_count_laws(),
+        n_max=st.integers(0, 3000),
+        extra=st.integers(1, 3000),
+    )
+    def test_prefix_does_not_depend_on_n_max(self, p0, m, first, rest, count, n_max, extra):
+        # The recursion never looks ahead: on two lattices that both cover
+        # the largest payment index, the shorter law is the longer one's
+        # prefix, bit for bit, which is what lets aggregate_sector_sets run
+        # a shared sector once.
+        sev = _severity(p0, [first, *rest], first=m)
+        sector = SectorCompound(0, count, sev, count.mean())
+        n_max = max(n_max, sev.max_index)
+        short = panjer_compound(sector, n_max)
+        long = panjer_compound(sector, n_max + extra)
+        assert short.pmf.tobytes() == long.pmf[: n_max + 1].tobytes()
+
+
+class TestSectorSets:
+    def _sectors(self):
+        wide = LatticeSeverity(unit=1.0, pmf={1: 0.5, 2: 0.4999, 400: 1e-4})
+        narrow = LatticeSeverity(unit=1.0, pmf={1: 0.6, 3: 0.4})
+        return (SectorCompound(0, PoissonCount(3.0), wide, 3.0),
+                SectorCompound(1, NegBinCount(4.0, 0.02), narrow, 196.0))
+
+    def test_each_law_equals_its_own_aggregate(self, monkeypatch):
+        # Law [wide] has a lattice shorter than wide's payment 400, so wide
+        # runs once for it and once for [wide, narrow], whose lattice covers
+        # 400: three runs, and each law byte-identical to its own call.
+        wide, narrow = self._sectors()
+        laws = [[wide], [wide, narrow], [narrow, wide]]
+        calls = []
+        real = aggregation.panjer_compound
+        monkeypatch.setattr(aggregation, "panjer_compound",
+                            lambda s, n: calls.append(n) or real(s, n))
+        got = aggregation.aggregate_sector_sets(laws)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        for law, dist in zip(laws, got):
+            ref = aggregation.aggregate_sectors(law)
+            assert dist.pmf.tobytes() == ref.pmf.tobytes()
+            assert dist.truncation_mass == ref.truncation_mass
+        assert got[0].n_max < 400 <= got[1].n_max
+
+    def test_single_law_is_aggregate_sectors(self):
+        wide, narrow = self._sectors()
+        (dist,) = aggregation.aggregate_sector_sets([[wide, narrow]], n_max=900)
+        ref = convolve_sectors([panjer_compound(wide, 900), panjer_compound(narrow, 900)], n_max=900)
+        assert dist.pmf.tobytes() == ref.pmf.tobytes()
+
 
 class TestLatticeCeiling:
     def test_lattice_above_the_ceiling_is_refused(self):

@@ -163,13 +163,13 @@ class TestBetaMixing:
 
 
 class TestInflationFit:
-    def test_recovers_positive_inflation(self, rng):
+    @staticmethod
+    def _inflated_panel(rng, d_true):
         tr = realistic_trends(rng, A=2, K=1)
         base_year = 2000
         years = np.arange(2001, 2016)
         sigma2 = np.array([0.05])
         ahead = years - base_year
-        d_true = 0.3
         T = years.size
         exposure = np.full((T, 2, 2), 100_000)
         from ecrplus.trends import cause_weights_grid, death_prob_grid
@@ -184,6 +184,26 @@ class TestInflationFit:
 
         panel = CohortPanel(years=years, deaths=rng.poisson(rho * lam[:, None, None, :]),
                             exposure=exposure)
-        pv = ParamVector(trends=tr, sigma2=sigma2)
+        return panel, ParamVector(trends=tr, sigma2=sigma2), base_year
+
+    def test_recovers_positive_inflation(self, rng):
+        d_true = 0.3
+        panel, pv, base_year = self._inflated_panel(rng, d_true)
         d_hat = estimate_inflation(panel, pv, base_year, grid=np.linspace(0, 1, 51))
         assert abs(d_hat - d_true) < 0.2
+
+    def test_grid_values_are_the_inflated_likelihood(self, rng):
+        # One kernel whose q and w pieces are reused across the grid gives,
+        # bit for bit, the likelihood built afresh at each grid point.
+        from ecrplus.estimation import log_likelihood_inflated
+        from ecrplus.forecast import _inflation_profile
+
+        panel, pv, base_year = self._inflated_panel(rng, 0.3)
+        grid = np.linspace(0.0, 1.0, 101)
+        ahead = np.maximum(panel.years - base_year, 0)
+        ref = [
+            log_likelihood_inflated(panel, pv, pv.sigma2[None, :] * (1.0 + d * ahead[:, None]) ** 2)
+            for d in grid
+        ]
+        assert _inflation_profile(panel, pv, base_year, grid) == ref
+        assert estimate_inflation(panel, pv, base_year) == grid[int(np.argmax(ref))]

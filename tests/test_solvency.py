@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ecrplus import aggregation
 from ecrplus.aggregation import (
     LossDistribution,
     aggregate_loss,
+    build_sectors,
     loss_from_annuity,
     quantile,
     tv_distance,
@@ -19,6 +21,7 @@ from ecrplus.solvency import (
     delta_bof_distribution,
     gamma_mixture_grid,
     scenario_loss,
+    scenario_sectors,
     scr,
     term_life_bel,
 )
@@ -79,6 +82,35 @@ class TestScenarioLoss:
         base = aggregate_loss(pf, rf, unit=1.0)
         assert tv_distance(cond, base) == 0.0
         assert cond.n_max == base.n_max
+
+    def test_scenario_and_unconditional_share_free_sectors(self, monkeypatch):
+        # One pinned factor of three: the idiosyncratic and two free sectors
+        # run once for both laws (5 runs, not 8), and each law is the same
+        # bytes as its own scenario_loss / aggregate_loss call.
+        holder = Policyholder(
+            id="s", age_group=0, gender="f", birth_year=0, death_prob=0.05,
+            weights=np.array([0.1, 0.3, 0.4, 0.2]),
+            payment=LatticeSeverity(1.0, {1: 0.3, 2: 0.5, 7: 0.2}),
+            survival_payment=LatticeSeverity.point(1), multiplicity=4000,
+        )
+        pf = Portfolio(holders=[holder])
+        rf = [RiskFactorSpec(1, 0.1), RiskFactorSpec(2, 0.2), RiskFactorSpec(3, 0.05)]
+        scenario = Scenario({2: 0.8})
+        calls = []
+        real = aggregation.panjer_compound
+        monkeypatch.setattr(aggregation, "panjer_compound",
+                            lambda s, n: calls.append(n) or real(s, n))
+        sectors = build_sectors(pf, rf, 1.0)
+        cond, base = aggregation.aggregate_sector_sets(
+            [scenario_sectors(sectors, scenario), sectors]
+        )
+        monkeypatch.undo()
+        assert len(calls) == 5
+        assert cond.n_max < base.n_max
+        for got, ref in ((cond, scenario_loss(pf, rf, scenario)), (base, aggregate_loss(pf, rf))):
+            assert got.n_max == ref.n_max
+            assert got.pmf.tobytes() == ref.pmf.tobytes()
+            assert got.truncation_mass == ref.truncation_mass
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):
